@@ -57,12 +57,6 @@ pub struct SessionConfig {
     /// The default honors the `AUGUR_BACKEND` environment variable
     /// (`tree` / `tape` / `native`) when set.
     pub backend: ExecBackend,
-    /// Worker threads for tape execution. `1` (the default) runs
-    /// sequentially; `0` means one per available core. Traces are
-    /// bit-identical at every thread count (see `DESIGN.md`
-    /// § Deterministic parallelism). The default honors the
-    /// `AUGUR_THREADS` environment variable when set.
-    pub threads: usize,
     /// Opt-in JSONL event sink: when set, the sampler streams one record
     /// per sweep (per-kernel counter deltas) to this path. The default
     /// honors the `AUGUR_TRACE` environment variable when set. See
@@ -95,7 +89,6 @@ impl Default for SessionConfig {
             mcmc: McmcConfig::default(),
             opt_flags: OptFlags::default(),
             backend: default_backend(),
-            threads: default_threads(),
             trace_path: std::env::var_os("AUGUR_TRACE").map(PathBuf::from),
             timers: true,
             checkpoint_path: std::env::var_os("AUGUR_CKPT").map(PathBuf::from),
@@ -115,15 +108,6 @@ fn default_backend() -> ExecBackend {
         Ok(s) => ExecBackend::parse(s.trim())
             .unwrap_or_else(|| panic!("AUGUR_BACKEND: unknown backend {s:?}")),
         Err(_) => ExecBackend::default(),
-    }
-}
-
-/// The default worker-thread count: `AUGUR_THREADS` when set and parseable
-/// (`0` = one per core), otherwise `1`.
-fn default_threads() -> usize {
-    match std::env::var("AUGUR_THREADS") {
-        Ok(s) => s.trim().parse().unwrap_or(1),
-        Err(_) => 1,
     }
 }
 
@@ -232,8 +216,8 @@ pub enum RunError {
         /// The underlying bounds-check message.
         detail: String,
     },
-    /// A kernel update (or one of its parallel workers) panicked; the
-    /// sweep failed but the process — and the worker pool — survive.
+    /// A kernel update panicked; the sweep failed but the process and
+    /// the session survive.
     WorkerPanic {
         /// The Kernel-IL label of the step that failed.
         kernel: String,
@@ -440,7 +424,6 @@ impl Session {
             }
         }
         engine.profile_ops = config.timers;
-        engine.set_threads(config.threads);
         if matches!(config.target, Target::Gpu(_)) {
             // Model the host→device shipment of the whole state.
             let bytes = engine.state.total_cells() as u64 * 8;
@@ -606,9 +589,9 @@ impl Session {
     }
 
     /// [`Session::sweep`] with panic isolation: a kernel unit that
-    /// panics — a bounds violation in compiled indexing code, a poisoned
-    /// parallel worker — fails this sweep with a typed [`RunError`]
-    /// instead of unwinding through the caller. The worker pool survives
+    /// panics — a bounds violation in compiled indexing code, an injected
+    /// `panic@proc` fault — fails this sweep with a typed [`RunError`]
+    /// instead of unwinding through the caller. The session survives
     /// and later sweeps can run, but the *state* of the failed sweep is
     /// unspecified: recover by [`Session::resume`]-ing from the last
     /// checkpoint.
@@ -628,7 +611,6 @@ impl Session {
             // sampler object (not the chain state) stays usable
             self.engine.env.truncate(env_depth);
             self.engine.in_parallel = false;
-            self.engine.write_log = None;
             let detail = panic_message(payload);
             let kernel =
                 self.labels.get(self.current_step).cloned().unwrap_or_default();
@@ -834,8 +816,8 @@ impl Session {
     /// A complete snapshot of the chain: every state buffer bit-exact,
     /// the RNG words, the launch/work counters, the cumulative kernel
     /// statistics, and the backoff tuning. Resuming from it continues the
-    /// trace byte-identically to an uninterrupted run, at any
-    /// `AUGUR_THREADS` count and under either execution strategy.
+    /// trace byte-identically to an uninterrupted run, under every
+    /// execution backend.
     pub fn checkpoint(&self) -> Checkpoint {
         let (rng_state, rng_spare) = self.engine.rng.state_words();
         let buffers = self
@@ -978,8 +960,8 @@ impl Session {
     /// Kernel-IL schedule, per-kernel acceptance/divergence/slice
     /// counters and wall-time breakdown, the deterministic work counter,
     /// and execution-shape statistics. The deterministic portion
-    /// ([`RunReport::digest`]) is bit-identical at any `AUGUR_THREADS`
-    /// count and under either execution strategy.
+    /// ([`RunReport::digest`]) is bit-identical under every execution
+    /// backend.
     pub fn report(&self) -> RunReport {
         let kernels = self
             .labels
@@ -997,11 +979,8 @@ impl Session {
                 .as_ref()
                 .map_or(0, TraceSink::records_dropped),
             exec: ExecReport {
-                threads: self.engine.threads(),
                 proc_calls: self.engine.metrics.proc_calls,
                 instrs_retired: self.engine.metrics.instrs_retired,
-                par_dispatches: self.engine.metrics.par_dispatches,
-                par_chunks: self.engine.metrics.par_chunks,
                 total_wall_secs: self.stats.iter().map(|s| s.wall_secs).sum(),
             },
         }
@@ -1023,8 +1002,8 @@ impl Session {
     /// [`SessionConfig::timers`] and covers the sweeps run by *this*
     /// sampler object (it is not checkpointed); the total work counter is
     /// cumulative across resume. The work-counter portion
-    /// ([`Profile::digest`]) is byte-identical at any `AUGUR_THREADS`
-    /// count and under either execution strategy.
+    /// ([`Profile::digest`]) is byte-identical under every execution
+    /// backend.
     pub fn profile(&self) -> Profile {
         let steps = self
             .labels
@@ -1044,7 +1023,6 @@ impl Session {
             steps,
             op_class: self.engine.metrics.op_class,
             mem: self.mem,
-            threads: self.engine.threads(),
             strategy: format!("{:?}", self.engine.backend),
         }
     }
@@ -1101,7 +1079,7 @@ pub fn explain_plan_spans(kp: &KernelPlan) -> (Span, Span) {
 
 /// Renders a caught panic payload (the `&str` / `String` payloads every
 /// `panic!` produces; anything else gets a placeholder).
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {

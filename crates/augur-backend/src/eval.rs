@@ -70,21 +70,6 @@ pub(crate) enum OwnVal {
     VecD(PoolVec),
 }
 
-/// One state mutation recorded by a worker engine during a parallel
-/// launch. The main thread replays worker logs in chunk order — which is
-/// exactly sequential iteration order — so floating-point accumulation
-/// order (and therefore every bit of the result) matches single-threaded
-/// execution. Thread-local scratch buffers are not logged.
-#[derive(Debug, Clone)]
-pub(crate) enum WriteOp {
-    /// A scalar cell write (`Set`) or increment (`Inc` carries the delta).
-    Cell { buf: BufId, idx: usize, op: AssignOp, val: f64 },
-    /// A scalar broadcast over a range (always `Set`).
-    Fill { buf: BufId, start: usize, len: usize, val: f64 },
-    /// A vector write; `Inc` carries the per-cell deltas.
-    Slice { buf: BufId, start: usize, op: AssignOp, vals: PoolVec },
-}
-
 /// An owned distribution argument.
 #[derive(Debug, Clone)]
 pub(crate) enum OwnArg {
@@ -146,15 +131,7 @@ pub struct Engine {
     /// Recycled loop-frame stack for tape execution (allocation-free
     /// steady state).
     pub(crate) tape_frames: Vec<crate::tape::TapeFrame>,
-    /// Worker-thread count for parallel tape execution (1 = sequential).
-    pub(crate) threads: usize,
-    /// The persistent worker pool, created lazily on first dispatch.
-    pub(crate) pool: Option<crate::par::Pool>,
-    /// Present on worker engines: every state mutation is recorded here
-    /// for ordered replay on the main thread.
-    pub(crate) write_log: Option<Vec<WriteOp>>,
-    /// Execution counters (proc calls, tape instructions, parallel
-    /// dispatches); worker counters merge in chunk order.
+    /// Execution counters (proc calls, tape instructions, op classes).
     pub(crate) metrics: crate::metrics::EngineMetrics,
     /// When set, the tape VM additionally buckets retired instructions
     /// by op class (`EngineMetrics::op_class`) for the phase profiler.
@@ -193,169 +170,10 @@ impl Engine {
             tape_fregs: Vec::new(),
             tape_vregs: Vec::new(),
             tape_frames: Vec::new(),
-            threads: 1,
-            pool: None,
-            write_log: None,
             metrics: crate::metrics::EngineMetrics::default(),
             profile_ops: false,
             fault: None,
             fault_sweep: 0,
-        }
-    }
-
-    /// Sets the worker-thread count for parallel tape execution. `0`
-    /// resolves to the machine's available parallelism. Any existing pool
-    /// is dropped and re-created lazily at the next parallel launch.
-    pub fn set_threads(&mut self, n: usize) {
-        let n = if n == 0 {
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-        } else {
-            n
-        };
-        if n != self.threads {
-            self.threads = n;
-            self.pool = None;
-        }
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Clones this engine into a worker for one parallel launch: the
-    /// state is a cheap copy-on-write clone, the per-thread-stream seed
-    /// and launch bookkeeping carry over, and every write is logged for
-    /// ordered replay. Workers always run with `threads = 1`.
-    pub(crate) fn fork_worker(&self) -> Engine {
-        Engine {
-            state: self.state.clone(),
-            rng: Prng::seed_from_u64(0),
-            device: Device::new(gpu_sim::DeviceConfig::host_cpu_like()),
-            mode: self.mode,
-            backend: self.backend,
-            // Workers run tape/tree bodies handed to them by the
-            // dispatcher; the native module stays on the main engine.
-            native: None,
-            native_own: Vec::new(),
-            native_master_rng: None,
-            env: self.env.clone(),
-            work: 0,
-            atomics: Vec::new(),
-            record_atomics: self.record_atomics,
-            master_seed: self.master_seed,
-            launch_counter: self.launch_counter,
-            in_parallel: true,
-            tape_fregs: Vec::new(),
-            tape_vregs: Vec::new(),
-            tape_frames: Vec::new(),
-            threads: 1,
-            pool: None,
-            write_log: Some(Vec::new()),
-            metrics: crate::metrics::EngineMetrics::default(),
-            profile_ops: self.profile_ops,
-            fault: None, // injection decisions are made at the dispatch site
-            fault_sweep: self.fault_sweep,
-        }
-    }
-
-    /// Logs a scalar cell write on worker engines (no-op otherwise).
-    #[inline]
-    pub(crate) fn log_cell(&mut self, buf: BufId, idx: usize, op: AssignOp, val: f64) {
-        if let Some(log) = &mut self.write_log {
-            if !self.state.is_thread_local(buf) {
-                log.push(WriteOp::Cell { buf, idx, op, val });
-            }
-        }
-    }
-
-    /// Logs a broadcast fill on worker engines (no-op otherwise).
-    #[inline]
-    pub(crate) fn log_fill(&mut self, buf: BufId, start: usize, len: usize, val: f64) {
-        if let Some(log) = &mut self.write_log {
-            if !self.state.is_thread_local(buf) {
-                log.push(WriteOp::Fill { buf, start, len, val });
-            }
-        }
-    }
-
-    /// Logs a vector write on worker engines, taking ownership of the
-    /// values (no-op otherwise).
-    #[inline]
-    pub(crate) fn log_vals(&mut self, buf: BufId, start: usize, op: AssignOp, vals: PoolVec) {
-        if let Some(log) = &mut self.write_log {
-            if !self.state.is_thread_local(buf) {
-                log.push(WriteOp::Slice { buf, start, op, vals });
-            }
-        }
-    }
-
-    /// Logs the current contents of a just-written range (used after
-    /// in-place vector sampling, where the values only exist in the
-    /// state). No-op unless this is a logging worker.
-    pub(crate) fn log_written_range(&mut self, buf: BufId, start: usize, len: usize) {
-        if self.write_log.is_none() || self.state.is_thread_local(buf) {
-            return;
-        }
-        let vals = PoolVec::from_slice(&self.state.flat(buf)[start..start + len]);
-        if let Some(log) = &mut self.write_log {
-            log.push(WriteOp::Slice { buf, start, op: AssignOp::Set, vals });
-        }
-    }
-
-    /// Replays a worker's write log against this engine's state. Raw
-    /// writes only: the worker already charged the work and recorded any
-    /// atomics for these mutations.
-    pub(crate) fn replay_writes(&mut self, log: Vec<WriteOp>) {
-        for entry in log {
-            match entry {
-                WriteOp::Cell { buf, idx, op, val } => {
-                    let cell = &mut self.state.flat_mut(buf)[idx];
-                    match op {
-                        AssignOp::Set => *cell = val,
-                        AssignOp::Inc => *cell += val,
-                    }
-                }
-                WriteOp::Fill { buf, start, len, val } => {
-                    for cell in &mut self.state.flat_mut(buf)[start..start + len] {
-                        *cell = val;
-                    }
-                }
-                WriteOp::Slice { buf, start, op, vals } => {
-                    let cells = &mut self.state.flat_mut(buf)[start..start + vals.len()];
-                    match op {
-                        AssignOp::Set => cells.copy_from_slice(&vals),
-                        AssignOp::Inc => {
-                            for (c, x) in cells.iter_mut().zip(&vals) {
-                                *c += x;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Adopts a worker's thread-local scratch buffers wholesale (the last
-    /// chunk's worker holds what sequential execution would have left in
-    /// them) and replays its ordinary writes.
-    pub(crate) fn merge_worker(&mut self, worker: &mut Engine) {
-        self.work += worker.work;
-        self.metrics.absorb(worker.metrics);
-        if self.record_atomics {
-            self.atomics.append(&mut worker.atomics);
-        }
-        let log = worker.write_log.take().unwrap_or_default();
-        self.replay_writes(log);
-    }
-
-    /// Copies thread-local buffer contents from `worker` (refcount bump,
-    /// no cell copies).
-    pub(crate) fn adopt_thread_locals(&mut self, worker: &Engine) {
-        for id in 0..self.state.num_buffers() {
-            if self.state.is_thread_local(id) {
-                self.state.adopt_buffer(id, &worker.state);
-            }
         }
     }
 
@@ -379,13 +197,16 @@ impl Engine {
     /// Returns the procedure's scalar result, if it has one.
     pub fn run_proc(&mut self, table: &ProcTable, idx: usize) -> Option<f64> {
         let out = self.run_proc_inner(table, idx);
-        if out.is_some() {
-            // fault drill: poison the scalar result of a matching
-            // procedure (`nan@proc:NAME`) to exercise the guardrails
-            if let Some(plan) = &self.fault {
-                if plan.nan_hits(table.proc_name(idx), self.fault_sweep) {
-                    return Some(f64::NAN);
-                }
+        // fault drills: panic in a matching procedure (`panic@proc:NAME`)
+        // or poison its scalar result (`nan@proc:NAME`) to exercise the
+        // guardrails
+        if let Some(plan) = &self.fault {
+            let name = table.proc_name(idx);
+            if plan.panic_hits(name, self.fault_sweep) {
+                panic!("{} in `{name}`", crate::fault::INJECTED_PANIC);
+            }
+            if out.is_some() && plan.nan_hits(name, self.fault_sweep) {
+                return Some(f64::NAN);
             }
         }
         out
@@ -1014,7 +835,6 @@ impl Engine {
                         }
                     }
                 }
-                self.log_cell(buf, idx, op, x);
             }
             (Dest::Range { buf, start, len }, OwnVal::Num(x)) => {
                 self.work += len as u64;
@@ -1025,7 +845,6 @@ impl Engine {
                 for cell in &mut self.state.flat_mut(buf)[start..start + len] {
                     *cell = x;
                 }
-                self.log_fill(buf, start, len, x);
             }
             (Dest::Range { buf, start, len }, OwnVal::VecD(xs)) => {
                 assert_eq!(xs.len(), len, "store length mismatch");
@@ -1042,7 +861,6 @@ impl Engine {
                         }
                     }
                 }
-                self.log_vals(buf, start, op, xs);
             }
             (Dest::Cell { .. }, OwnVal::VecD(_)) => {
                 panic!("cannot store a vector into a scalar cell")

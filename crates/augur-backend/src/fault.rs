@@ -1,7 +1,7 @@
 //! Deterministic fault injection for exercising the recovery paths.
 //!
 //! A [`FaultPlan`] describes faults to inject into a run so that every
-//! guardrail — non-finite density containment, worker panic isolation,
+//! guardrail — non-finite density containment, kernel panic isolation,
 //! trace-sink drop counting — is exercised deterministically in tests and
 //! CI rather than waiting for a real failure in production. Plans are
 //! parsed from the `AUGUR_FAULT` environment variable (or set
@@ -11,8 +11,8 @@
 //! ```text
 //! nan@proc:NAME            poison procedure NAME's result with NaN, every sweep
 //! nan@proc:NAME:sweep=N    ... only on sweep N (1-based)
-//! panic@worker:I           panic inside parallel worker chunk I, every sweep
-//! panic@worker:I:sweep=N   ... only on sweep N
+//! panic@proc:NAME          panic in procedure NAME, every sweep
+//! panic@proc:NAME:sweep=N  ... only on sweep N
 //! panic@shard:I            kill service shard worker I before each task it pops
 //! panic@shard:I:req=N      ... only for tasks belonging to request id N
 //! slow@shard:I:ms=M        delay service shard worker I by M ms per task
@@ -21,9 +21,8 @@
 //! ```
 //!
 //! Injection is deterministic: the same plan against the same model and
-//! seed trips at exactly the same points at any `AUGUR_THREADS` count
-//! (NaN injection keys on procedure name + sweep index; worker-panic
-//! injection keys on the chunk index of a parallel dispatch; the
+//! seed trips at exactly the same points (the `proc` clauses key on
+//! procedure name + sweep index and fire on the sweeping thread; the
 //! service-level clauses key on the shard index and request id). The
 //! `shard`/`native` clauses are consumed by the serving layer
 //! (`augur-serve`) and the session constructor respectively; they are
@@ -41,12 +40,12 @@ pub struct NanFault {
     pub sweep: Option<u64>,
 }
 
-/// One `panic@worker:…` clause: panic inside the given worker chunk of
-/// every parallel dispatch.
+/// One `panic@proc:…` clause: panic right after the named procedure
+/// runs, where `nan@proc` would poison its result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PanicFault {
-    /// The parallel-dispatch chunk index to panic in.
-    pub worker: usize,
+    /// The compiled procedure to panic in (see `Session::proc_names`).
+    pub proc_name: String,
     /// Inject only on this 1-based sweep (every sweep when `None`).
     pub sweep: Option<u64>,
 }
@@ -78,7 +77,7 @@ pub struct SlowFault {
 pub struct FaultPlan {
     /// NaN-density injections.
     pub nan: Vec<NanFault>,
-    /// Worker-panic injections.
+    /// Procedure-panic injections.
     pub panics: Vec<PanicFault>,
     /// Service shard-worker kills (`panic@shard:…`).
     pub shard_panics: Vec<ShardPanicFault>,
@@ -127,18 +126,13 @@ impl FaultPlan {
                     let rest = rest
                         .strip_prefix("proc:")
                         .ok_or_else(|| err("expected `nan@proc:NAME[:sweep=N]`"))?;
-                    let (name, sweep) = split_sweep(rest, &err)?;
-                    if name.is_empty() {
-                        return Err(err("empty procedure name"));
-                    }
-                    plan.nan.push(NanFault { proc_name: name.to_owned(), sweep });
+                    let (proc_name, sweep) = split_proc(rest, &err)?;
+                    plan.nan.push(NanFault { proc_name, sweep });
                 }
                 "panic" => {
-                    if let Some(rest) = rest.strip_prefix("worker:") {
-                        let (idx, sweep) = split_sweep(rest, &err)?;
-                        let worker =
-                            idx.parse().map_err(|_| err("worker index must be an integer"))?;
-                        plan.panics.push(PanicFault { worker, sweep });
+                    if let Some(rest) = rest.strip_prefix("proc:") {
+                        let (proc_name, sweep) = split_proc(rest, &err)?;
+                        plan.panics.push(PanicFault { proc_name, sweep });
                     } else if let Some(rest) = rest.strip_prefix("shard:") {
                         let (idx, req) = match rest.split_once(':') {
                             None => (rest, None),
@@ -159,7 +153,7 @@ impl FaultPlan {
                         plan.shard_panics.push(ShardPanicFault { shard, req });
                     } else {
                         return Err(err(
-                            "expected `panic@worker:I[:sweep=N]` or `panic@shard:I[:req=N]`",
+                            "expected `panic@proc:NAME[:sweep=N]` or `panic@shard:I[:req=N]`",
                         ));
                     }
                 }
@@ -232,8 +226,8 @@ impl FaultPlan {
         }
         for f in &self.panics {
             clauses.push(match f.sweep {
-                Some(n) => format!("panic@worker:{}:sweep={n}", f.worker),
-                None => format!("panic@worker:{}", f.worker),
+                Some(n) => format!("panic@proc:{}:sweep={n}", f.proc_name),
+                None => format!("panic@proc:{}", f.proc_name),
             });
         }
         for f in &self.shard_panics {
@@ -262,12 +256,11 @@ impl FaultPlan {
             .any(|f| f.proc_name == name && f.sweep.is_none_or(|s| s == sweep))
     }
 
-    /// Whether to panic in worker chunk `worker` on sweep `sweep`
-    /// (1-based).
-    pub fn panic_hits(&self, worker: usize, sweep: u64) -> bool {
+    /// Whether to panic in procedure `name` on sweep `sweep` (1-based).
+    pub fn panic_hits(&self, name: &str, sweep: u64) -> bool {
         self.panics
             .iter()
-            .any(|f| f.worker == worker && f.sweep.is_none_or(|s| s == sweep))
+            .any(|f| f.proc_name == name && f.sweep.is_none_or(|s| s == sweep))
     }
 
     /// Whether to kill service shard worker `shard` before executing a
@@ -286,27 +279,32 @@ impl FaultPlan {
     }
 }
 
-/// Splits `NAME[:sweep=N]` into the name and the optional sweep.
-fn split_sweep<'a>(
-    rest: &'a str,
+/// Splits a `proc` clause's `NAME[:sweep=N]` into the procedure name and
+/// the optional sweep.
+fn split_proc(
+    rest: &str,
     err: &impl Fn(&str) -> FaultParseError,
-) -> Result<(&'a str, Option<u64>), FaultParseError> {
-    match rest.split_once(':') {
-        None => Ok((rest, None)),
+) -> Result<(String, Option<u64>), FaultParseError> {
+    let (name, sweep) = match rest.split_once(':') {
+        None => (rest, None),
         Some((name, tail)) => {
             let n = tail
                 .strip_prefix("sweep=")
                 .ok_or_else(|| err("expected `:sweep=N` suffix"))?
                 .parse()
                 .map_err(|_| err("sweep must be an integer"))?;
-            Ok((name, Some(n)))
+            (name, Some(n))
         }
+    };
+    if name.is_empty() {
+        return Err(err("empty procedure name"));
     }
+    Ok((name.to_owned(), sweep))
 }
 
-/// The distinguishable payload of an injected worker panic (so the driver
-/// can label the typed error as injected rather than organic).
-pub const INJECTED_PANIC: &str = "fault injection: worker panic";
+/// The distinguishable payload of an injected procedure panic (so the
+/// typed error reads as injected rather than organic).
+pub const INJECTED_PANIC: &str = "fault injection: procedure panic";
 
 /// The distinguishable payload of an injected shard-worker kill (the
 /// serving layer's supervisor recognizes and reports it as injected).
@@ -323,25 +321,25 @@ mod tests {
 
     #[test]
     fn parses_full_grammar() {
-        let plan = FaultPlan::parse("nan@proc:u0_ll:sweep=7; panic@worker:2; io@trace").unwrap();
+        let plan = FaultPlan::parse("nan@proc:u0_ll:sweep=7; panic@proc:u1_gibbs; io@trace").unwrap();
         assert_eq!(
             plan.nan,
             vec![NanFault { proc_name: "u0_ll".into(), sweep: Some(7) }]
         );
-        assert_eq!(plan.panics, vec![PanicFault { worker: 2, sweep: None }]);
+        assert_eq!(plan.panics, vec![PanicFault { proc_name: "u1_gibbs".into(), sweep: None }]);
         assert!(plan.trace_io);
         assert!(!plan.is_empty());
     }
 
     #[test]
     fn hit_predicates_honor_sweep_filters() {
-        let plan = FaultPlan::parse("nan@proc:mu:sweep=3;panic@worker:1:sweep=5").unwrap();
+        let plan = FaultPlan::parse("nan@proc:mu:sweep=3;panic@proc:nu:sweep=5").unwrap();
         assert!(plan.nan_hits("mu", 3));
         assert!(!plan.nan_hits("mu", 4));
         assert!(!plan.nan_hits("nu", 3));
-        assert!(plan.panic_hits(1, 5));
-        assert!(!plan.panic_hits(1, 6));
-        assert!(!plan.panic_hits(0, 5));
+        assert!(plan.panic_hits("nu", 5));
+        assert!(!plan.panic_hits("nu", 6));
+        assert!(!plan.panic_hits("mu", 5));
         let every = FaultPlan::parse("nan@proc:mu").unwrap();
         assert!(every.nan_hits("mu", 1) && every.nan_hits("mu", 99));
     }
@@ -376,7 +374,9 @@ mod tests {
             "nan@proc:",
             "nan@proc:mu:sweep=x",
             "nan@proc:mu:after=3",
-            "panic@worker:abc",
+            "panic@proc:",
+            "panic@proc:mu:sweep=x",
+            "panic@worker:0",
             "io@disk",
             "boom@proc:mu",
         ] {
@@ -394,7 +394,7 @@ mod tests {
             ("panic@shard:x", "panic@shard:I[:req=N]"),
             ("panic@shard:0:sweep=3", "panic@shard:I[:req=N]"),
             ("panic@shard:0:req=x", "integer"),
-            ("panic@elsewhere:0", "panic@worker:I[:sweep=N]` or `panic@shard:I[:req=N]"),
+            ("panic@elsewhere:0", "panic@proc:NAME[:sweep=N]` or `panic@shard:I[:req=N]"),
             ("slow@shard:0", "slow@shard:I:ms=M"),
             ("slow@shard:0:ms=x", "slow@shard:I:ms=M"),
             ("slow@shard:0:secs=1", "slow@shard:I:ms=M"),
@@ -418,14 +418,14 @@ mod tests {
         for spec in [
             "nan@proc:mu",
             "nan@proc:mu:sweep=3",
-            "panic@worker:2",
-            "panic@worker:2:sweep=5",
+            "panic@proc:mu",
+            "panic@proc:mu:sweep=5",
             "panic@shard:0",
             "panic@shard:1:req=9",
             "slow@shard:0:ms=25",
             "compile@native",
             "io@trace",
-            "nan@proc:u0_ll:sweep=7;panic@worker:1;panic@shard:0:req=2;slow@shard:1:ms=5;compile@native;io@trace",
+            "nan@proc:u0_ll:sweep=7;panic@proc:u1_gibbs;panic@shard:0:req=2;slow@shard:1:ms=5;compile@native;io@trace",
         ] {
             let plan = FaultPlan::parse(spec).unwrap();
             let rendered = plan.render();

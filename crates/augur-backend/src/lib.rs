@@ -64,7 +64,6 @@ pub mod mcmc;
 pub mod metrics;
 pub mod native;
 pub mod oracle;
-pub mod par;
 pub mod plan;
 pub mod profile;
 pub mod setup;
@@ -82,4 +81,4 @@ pub use fault::{FaultParseError, FaultPlan};
 pub use metrics::{ExecReport, KernelReport, KernelStats, RunReport, UpdateOutcome};
 pub use profile::{ExplainPlan, MemWatermark, Profile, Span, StepProfile};
 pub use state::HostValue;
-pub use tape::{ExecBackend, ExecStrategy};
+pub use tape::ExecBackend;

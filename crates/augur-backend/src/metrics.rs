@@ -6,18 +6,15 @@
 //! and slice-sampler reflection/shrink counts into one [`KernelStats`]
 //! per schedule step, keyed by the step's Kernel-IL label (e.g.
 //! `HMC Single(mu)`). The engine additionally counts procedure calls,
-//! retired tape instructions, and parallel dispatches
-//! ([`EngineMetrics`]).
+//! retired tape instructions, and tape op classes ([`EngineMetrics`]).
 //!
 //! **Determinism contract.** Everything [`RunReport::digest`] covers —
 //! the schedule string, sweep count, per-kernel counters, and the work
-//! counter — is *bit-identical* at any `AUGUR_THREADS` count and under
-//! either execution strategy, because the counters derive from the same
-//! deterministic RNG draws as the traces themselves, and worker-side
-//! counters merge in chunk order exactly like the write logs (see
-//! `DESIGN.md` § Deterministic metrics). Wall-clock fields and the
-//! execution-shape counters ([`ExecReport`]) are observability only and
-//! are deliberately excluded from the digest.
+//! counter — is *bit-identical* under every execution backend, because
+//! the counters derive from the same deterministic RNG draws as the
+//! traces themselves (see `DESIGN.md` § Deterministic metrics).
+//! Wall-clock fields and the execution-shape counters ([`ExecReport`])
+//! are observability only and are deliberately excluded from the digest.
 
 use std::fmt;
 use std::fs::File;
@@ -55,8 +52,8 @@ impl UpdateOutcome {
 
 /// Cumulative statistics for one kernel unit of the schedule.
 ///
-/// All integer fields are deterministic (identical at any thread count
-/// and under either execution strategy); `wall_secs` is wall-clock
+/// All integer fields are deterministic (identical under every
+/// execution strategy); `wall_secs` is wall-clock
 /// observability only and is excluded from [`RunReport::digest`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelStats {
@@ -142,40 +139,19 @@ pub const OP_CLASS_NAMES: [&str; N_OP_CLASSES] =
 /// Engine-level execution counters.
 ///
 /// `proc_calls` and `instrs_retired` are deterministic for a fixed
-/// strategy; the dispatch counters describe the *shape* of execution
-/// (how work was fanned out) and therefore vary with the thread count —
-/// they live in [`ExecReport`], outside the determinism contract.
-/// Worker-side counters are merged into the parent engine in chunk
-/// order, the same discipline as the write logs.
+/// strategy but differ between strategies, so they live in
+/// [`ExecReport`], outside the determinism contract.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineMetrics {
     /// Compiled-procedure invocations.
     pub proc_calls: u64,
     /// Tape instructions retired (0 under the tree-walking strategy).
     pub instrs_retired: u64,
-    /// Parallel regions fanned out to the worker pool.
-    pub par_dispatches: u64,
-    /// Worker chunks executed across all dispatches.
-    pub par_chunks: u64,
     /// Retired tape instructions by class ([`OP_CLASS_NAMES`] order),
     /// populated only when the sampler was built with timers on. Zero
     /// under the tree-walker, so — like `instrs_retired` — these are
     /// strategy-dependent and stay outside the digest contract.
     pub op_class: [u64; N_OP_CLASSES],
-}
-
-impl EngineMetrics {
-    /// Adds a worker engine's counters into this one (called from the
-    /// chunk-ordered merge alongside the write-log replay).
-    pub fn absorb(&mut self, worker: EngineMetrics) {
-        self.proc_calls += worker.proc_calls;
-        self.instrs_retired += worker.instrs_retired;
-        self.par_dispatches += worker.par_dispatches;
-        self.par_chunks += worker.par_chunks;
-        for (a, b) in self.op_class.iter_mut().zip(worker.op_class) {
-            *a += b;
-        }
-    }
 }
 
 /// One schedule step's label and cumulative statistics.
@@ -189,20 +165,14 @@ pub struct KernelReport {
 }
 
 /// Execution-shape counters: how the run was executed, not what it
-/// computed. These vary with the thread count and strategy and are
-/// excluded from [`RunReport::digest`].
+/// computed. These vary with the strategy and are excluded from
+/// [`RunReport::digest`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecReport {
-    /// Configured worker-thread count.
-    pub threads: usize,
     /// Compiled-procedure invocations.
     pub proc_calls: u64,
     /// Tape instructions retired (0 under the tree-walker).
     pub instrs_retired: u64,
-    /// Parallel regions fanned out to the worker pool.
-    pub par_dispatches: u64,
-    /// Worker chunks executed.
-    pub par_chunks: u64,
     /// Total wall time across all instrumented updates, in seconds.
     pub total_wall_secs: f64,
 }
@@ -220,15 +190,15 @@ pub struct RunReport {
     pub sweeps: u64,
     /// Per-step reports, in schedule order.
     pub kernels: Vec<KernelReport>,
-    /// Abstract work units retired (deterministic at any thread count).
+    /// Abstract work units retired (deterministic under every backend).
     pub work: u64,
     /// JSONL trace records that could not be written (sink I/O failures).
     /// Trace writes are best-effort, so drops never poison the chain —
     /// but they are counted and surfaced here. Environment-dependent,
     /// hence excluded from [`RunReport::digest`].
     pub trace_records_dropped: u64,
-    /// Execution-shape counters (thread-count dependent; excluded from
-    /// the digest).
+    /// Execution-shape counters (strategy dependent; excluded from the
+    /// digest).
     pub exec: ExecReport,
 }
 
@@ -247,8 +217,8 @@ impl RunReport {
     /// A canonical rendering of every deterministic field — the
     /// schedule, sweep count, per-kernel counters, and work counter.
     /// Two runs of the same model and seed produce byte-identical
-    /// digests at any `AUGUR_THREADS` count and under either execution
-    /// strategy; wall time and dispatch shape are excluded.
+    /// digests under every execution backend; wall time and execution
+    /// shape are excluded.
     pub fn digest(&self) -> String {
         let mut out = format!("schedule={};sweeps={};work={}", self.schedule, self.sweeps, self.work);
         for k in &self.kernels {
@@ -267,8 +237,8 @@ impl fmt::Display for RunReport {
         writeln!(f, "schedule: {}", self.schedule)?;
         writeln!(
             f,
-            "sweeps: {}   work: {}   threads: {}   wall: {:.3}s",
-            self.sweeps, self.work, self.exec.threads, self.exec.total_wall_secs
+            "sweeps: {}   work: {}   wall: {:.3}s",
+            self.sweeps, self.work, self.exec.total_wall_secs
         )?;
         writeln!(
             f,
@@ -295,11 +265,8 @@ impl fmt::Display for RunReport {
         }
         write!(
             f,
-            "exec: {} proc calls, {} tape instrs, {} dispatches / {} chunks",
-            self.exec.proc_calls,
-            self.exec.instrs_retired,
-            self.exec.par_dispatches,
-            self.exec.par_chunks
+            "exec: {} proc calls, {} tape instrs",
+            self.exec.proc_calls, self.exec.instrs_retired
         )
     }
 }
@@ -552,7 +519,7 @@ mod tests {
 
     #[test]
     fn digest_excludes_wall_time() {
-        let mk = |wall: f64, chunks: u64| RunReport {
+        let mk = |wall: f64, dropped: u64| RunReport {
             schedule: "Gibbs Single(z)".into(),
             sweeps: 3,
             kernels: vec![KernelReport {
@@ -560,13 +527,10 @@ mod tests {
                 stats: KernelStats { proposals: 3, accepts: 3, wall_secs: wall, ..Default::default() },
             }],
             work: 42,
-            trace_records_dropped: chunks, // env-dependent, digest-excluded
+            trace_records_dropped: dropped, // env-dependent, digest-excluded
             exec: ExecReport {
-                threads: 1,
                 proc_calls: 3,
                 instrs_retired: 10,
-                par_dispatches: 0,
-                par_chunks: chunks,
                 total_wall_secs: wall,
             },
         };

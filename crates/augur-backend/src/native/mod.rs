@@ -15,12 +15,11 @@
 //!   engine method the tree-walker uses, so semantics and work
 //!   accounting agree by construction), and [`NativeModule`].
 //!
-//! Native procedures always run on the main engine's thread: the repo
-//! guarantees parallel and sequential execution are bit-identical, so
-//! a sequential native sweep matches an 8-thread tape sweep exactly.
-//! Parallel loops still rotate per-thread RNG streams via the
+//! Native procedures run on the calling thread, like every other lane.
+//! `Par` loops rotate the per-iteration RNG streams via the
 //! `par_enter`/`par_iter`/`par_exit` callbacks, which replicate the
-//! interpreter's launch bookkeeping.
+//! interpreter's launch bookkeeping, so native draws match the tape's
+//! exactly.
 //!
 //! Panic behavior: bounds violations trap back into Rust and raise the
 //! interpreter's exact panic messages; the artifact is compiled with

@@ -13,10 +13,9 @@
 //!   them.
 //! * [`Profile`] — per-schedule-step and per-tape-op-class work accounting
 //!   for a run, gated by `SessionConfig::timers`. Work counters are
-//!   charged by the deterministic cost model and merged in chunk order, so
-//!   [`Profile::digest`] is byte-identical across execution strategies and
-//!   thread counts; wall times and op-class counts ride along outside the
-//!   digest contract.
+//!   charged by the deterministic cost model, so [`Profile::digest`] is
+//!   byte-identical across execution strategies; wall times and op-class
+//!   counts ride along outside the digest contract.
 
 use std::fmt;
 
@@ -158,7 +157,7 @@ pub struct StepProfile {
     /// The step's stable label (as in `RunReport`), e.g. `Gibbs Single(z)`.
     pub label: String,
     /// Deterministic work units charged while this step ran (cost-model
-    /// work, identical across strategies and thread counts).
+    /// work, identical across strategies).
     pub work: u64,
     /// Wall-clock seconds spent in this step (not deterministic; outside
     /// the digest contract).
@@ -167,7 +166,7 @@ pub struct StepProfile {
 
 /// Peak-memory watermark: what size inference bounded up front versus what
 /// the compiled procedures can actually touch. Both are computed
-/// statically, so they are identical across strategies and thread counts.
+/// statically, so they are identical across strategies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemWatermark {
     /// Bytes allocated up front by size inference (§5.2): every model
@@ -198,8 +197,6 @@ pub struct Profile {
     pub op_class: [u64; N_OP_CLASSES],
     /// Static memory watermark.
     pub mem: MemWatermark,
-    /// Worker threads the run was configured with.
-    pub threads: usize,
     /// Execution strategy (`Tape` or `Tree`).
     pub strategy: String,
 }
@@ -207,10 +204,9 @@ pub struct Profile {
 impl Profile {
     /// The deterministic digest of the work-counter portion of the
     /// profile: schedule, sweeps, total work, and per-step work. Two runs
-    /// of the same model/seed/sweeps produce byte-identical digests at any
-    /// thread count and under either execution strategy — wall times,
-    /// op-class counts, and thread/strategy metadata are deliberately
-    /// excluded.
+    /// of the same model/seed/sweeps produce byte-identical digests under
+    /// every execution backend — wall times, op-class counts, and the
+    /// strategy name are deliberately excluded.
     pub fn digest(&self) -> String {
         let mut out = format!(
             "schedule={};sweeps={};work={}",
@@ -244,11 +240,10 @@ impl Profile {
     /// non-deterministic wall times and metadata).
     pub fn to_json(&self) -> String {
         let mut out = format!(
-            "{{\"schedule\":{},\"sweeps\":{},\"work\":{},\"threads\":{},\"strategy\":{}",
+            "{{\"schedule\":{},\"sweeps\":{},\"work\":{},\"strategy\":{}",
             json_str(&self.schedule),
             self.sweeps,
             self.work,
-            self.threads,
             json_str(&self.strategy),
         );
         out.push_str(",\"steps\":[");
@@ -298,8 +293,8 @@ impl fmt::Display for Profile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "profile: {} sweeps, {} work units, {} threads, {}",
-            self.sweeps, self.work, self.threads, self.strategy
+            "profile: {} sweeps, {} work units, {}",
+            self.sweeps, self.work, self.strategy
         )?;
         writeln!(f, "{:<28} {:>14} {:>10}", "step", "work", "wall (s)")?;
         for s in &self.steps {
@@ -338,7 +333,6 @@ mod tests {
             ],
             op_class: [10, 20, 30, 4, 5, 6],
             mem: MemWatermark { bound_bytes: 800, touched_bytes: 640 },
-            threads: 2,
             strategy: "Tape".into(),
         }
     }
@@ -352,10 +346,9 @@ mod tests {
             "schedule=Gibbs Single(z) (*) HMC Single(mu);sweeps=10;work=1500;\
              Gibbs Single(z):work=900;HMC Single(mu):work=600"
         );
-        // wall times, op classes, threads, strategy are outside the digest
+        // wall times, op classes, strategy are outside the digest
         p.steps[0].wall_secs = 99.0;
         p.op_class = [0; N_OP_CLASSES];
-        p.threads = 8;
         p.strategy = "Tree".into();
         assert_eq!(p.digest(), d);
     }

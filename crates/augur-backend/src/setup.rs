@@ -12,7 +12,7 @@ use std::fmt;
 
 use augur_density::{DExpr, DensityModel, Factor};
 use augur_dist::DistKind;
-use augur_low::shape::{AllocDecl, AllocKind, ShapeSpec, SizeExpr};
+use augur_low::shape::{AllocDecl, ShapeSpec, SizeExpr};
 use augur_low::LoweredModel;
 
 use crate::state::{HostValue, RowElem, Shape, State};
@@ -137,10 +137,7 @@ pub fn build_state(
     // 4. planned temporaries (size inference output)
     for alloc in &lowered.allocs {
         let shape = alloc_shape(&state, alloc)?;
-        let id = state.insert(&alloc.name, shape);
-        if alloc.kind == AllocKind::ThreadLocal {
-            state.mark_thread_local(id);
-        }
+        state.insert(&alloc.name, shape);
     }
 
     Ok(state)

@@ -125,16 +125,15 @@ impl From<FlatRagged> for HostValue {
 /// st.flat_mut(id)[0] = 2.5;
 /// assert_eq!(st.scalar(id), 2.5);
 /// ```
-/// Buffers are reference-counted so cloning a `State` is cheap: worker
-/// threads clone the whole state and only the buffers they actually write
-/// are deep-copied (copy-on-write via [`Arc::make_mut`]).
+/// Buffers are reference-counted so cloning a `State` is cheap: sessions
+/// bound to one plan clone its state, and only the buffers a session
+/// actually writes are deep-copied (copy-on-write via [`Arc::make_mut`]).
 #[derive(Debug, Clone, Default)]
 #[allow(clippy::rc_buffer)]
 pub struct State {
     names: HashMap<String, BufId>,
     shapes: Vec<Shape>,
     data: Vec<Arc<Vec<f64>>>,
-    thread_local: Vec<bool>,
 }
 
 impl State {
@@ -154,7 +153,6 @@ impl State {
         let id = self.shapes.len();
         self.data.push(Arc::new(vec![0.0; shape.num_cells()]));
         self.shapes.push(shape);
-        self.thread_local.push(false);
         self.names.insert(name, id);
         id
     }
@@ -167,7 +165,6 @@ impl State {
         let id = self.shapes.len();
         self.shapes.push(shape);
         self.data.push(Arc::new(data));
-        self.thread_local.push(false);
         self.names.insert(name, id);
         id
     }
@@ -196,29 +193,10 @@ impl State {
         &self.data[id]
     }
 
-    /// The flat cells, mutably (copy-on-write: unshares the buffer if a
-    /// worker-thread clone still holds a reference to it).
+    /// The flat cells, mutably (copy-on-write: unshares the buffer if
+    /// another session's clone still holds a reference to it).
     pub fn flat_mut(&mut self, id: BufId) -> &mut [f64] {
         Arc::make_mut(&mut self.data[id]).as_mut_slice()
-    }
-
-    /// Marks a buffer as thread-local scratch (per-iteration temporaries
-    /// of `Par` kernels). Thread-local buffers are excluded from the
-    /// parallel write log — see `DESIGN.md` § Deterministic parallelism.
-    pub fn mark_thread_local(&mut self, id: BufId) {
-        self.thread_local[id] = true;
-    }
-
-    /// Whether a buffer is thread-local scratch.
-    pub fn is_thread_local(&self, id: BufId) -> bool {
-        self.thread_local[id]
-    }
-
-    /// Replaces a buffer's storage wholesale with another state's copy
-    /// (used to adopt a worker's thread-local scratch after a parallel
-    /// launch). Cheap: bumps the refcount, no cells are copied.
-    pub(crate) fn adopt_buffer(&mut self, id: BufId, from: &State) {
-        self.data[id] = Arc::clone(&from.data[id]);
     }
 
     /// Reads a scalar buffer.

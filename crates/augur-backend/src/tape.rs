@@ -46,11 +46,6 @@ use crate::eval::{
 };
 use crate::state::{BufId, RowElem, Shape, State};
 
-/// Minimum iteration span worth fanning out to the worker pool. Kept low
-/// so small models still exercise (and differentially test) the parallel
-/// path; bit-identity makes the threshold a pure throughput knob.
-const MIN_PAR_SPAN: i64 = 4;
-
 /// Which execution backend the engine uses for compiled procedures.
 ///
 /// Every backend implements the same abstract machine and produces
@@ -91,11 +86,6 @@ impl ExecBackend {
         }
     }
 }
-
-/// Pre-redesign name of [`ExecBackend`], kept one release for migration.
-/// Deprecated: use [`ExecBackend`] (variants and patterns keep working
-/// through this alias).
-pub type ExecStrategy = ExecBackend;
 
 /// Bank selector bit of a packed operand.
 const VBIT: u32 = 1 << 31;
@@ -445,11 +435,6 @@ pub enum TInstr {
         hi: u32,
         /// Absolute index of the first instruction after the loop.
         exit: u32,
-        /// True when the loop region (body and nested loops) draws no
-        /// randomness and opens no fresh `Par` launch — the condition
-        /// under which an `AtmPar` loop may be chunked across worker
-        /// threads without perturbing the RNG or launch counter.
-        rng_free: bool,
     },
     /// Close the innermost loop: advance the index and jump back, or fall
     /// through when exhausted. `w` charges the work of instructions the
@@ -576,11 +561,6 @@ pub enum TBlk {
         body: Tape,
         /// Extra per-thread parallel width exposed by inlining.
         inner_par: Option<RExpr>,
-        /// True when the body draws no randomness and opens no fresh
-        /// `Par` launch; gates worker-thread chunking of `AtmPar`
-        /// kernels (`Par` kernels already have order-free per-thread
-        /// streams and chunk unconditionally).
-        rng_free: bool,
     },
     /// Sequentially launched inner blocks.
     Loop {
@@ -647,15 +627,12 @@ fn compile_blk(b: &RBlk, state: &State) -> TBlk {
         RBlk::Par { kind, lo, hi, body, inner_par } => {
             let mut em = Emitter::new(state);
             em.stmt(body);
-            let body = em.finish(None);
-            let rng_free = instrs_rng_free(&body.instrs);
             TBlk::Par {
                 kind: *kind,
                 lo: lo.clone(),
                 hi: hi.clone(),
-                body,
+                body: em.finish(None),
                 inner_par: inner_par.clone(),
-                rng_free,
             }
         }
         RBlk::Loop { lo, hi, body } => TBlk::Loop {
@@ -674,21 +651,6 @@ fn compile_blk(b: &RBlk, state: &State) -> TBlk {
             }
         }
     }
-}
-
-/// Whether an instruction region draws randomness or opens a fresh `Par`
-/// launch. Regions that do neither can be partitioned across worker
-/// threads without the chunking being observable through the RNG streams
-/// or the launch counter.
-fn instrs_rng_free(instrs: &[TInstr]) -> bool {
-    !instrs.iter().any(|i| {
-        matches!(
-            i,
-            TInstr::Sample { .. }
-                | TInstr::SampleLogits { .. }
-                | TInstr::LoopStart { kind: LoopKind::Par, .. }
-        )
-    })
 }
 
 /// Every buffer a statement tree stores to, in emission order (with
@@ -1338,7 +1300,6 @@ impl<'s> Emitter<'s> {
                     lo: rlo,
                     hi: rhi,
                     exit: 0,
-                    rng_free: false,
                 });
                 self.stmt(body);
                 let w = self.pending_w;
@@ -1350,11 +1311,6 @@ impl<'s> Emitter<'s> {
                 // body invalidated must stay invalid past it.
                 let cur = std::mem::replace(&mut self.memo, snap);
                 self.memo.retain(|k, r| cur.get(k) == Some(r));
-                // rng-freedom of the whole region, patched like `exit`.
-                let rf = instrs_rng_free(&self.instrs[start as usize + 1..]);
-                if let TInstr::LoopStart { rng_free, .. } = &mut self.instrs[start as usize] {
-                    *rng_free = rf;
-                }
                 self.patch_target(start, self.here());
             }
             RStmt::Sample { lhs, dist, args } => {
@@ -1579,27 +1535,6 @@ impl Engine {
     }
 
     fn run_tape_inner(&mut self, tape: &Tape, want_result: bool) -> (Option<View>, u64) {
-        self.run_tape_span(tape, want_result, 0, tape.instrs.len() as u32, Vec::new(), true)
-    }
-
-    /// Executes the instruction range `[start_pc, end_pc)` of a tape.
-    ///
-    /// Full-tape runs pass `0..len` with no initial frames; worker
-    /// threads executing one chunk of a parallel loop pass the loop's
-    /// body range plus a pre-built [`TapeFrame`] covering their slice of
-    /// the iteration space, so chunked execution re-enters the *same*
-    /// interpreter and inherits its bit-exact work/RNG accounting.
-    /// `charge_tail` is false for chunk runs — the trailing elided-work
-    /// charge belongs to the whole-tape run, once.
-    pub(crate) fn run_tape_span(
-        &mut self,
-        tape: &Tape,
-        want_result: bool,
-        start_pc: u32,
-        end_pc: u32,
-        initial_frames: Vec<TapeFrame>,
-        charge_tail: bool,
-    ) -> (Option<View>, u64) {
         let mut f = std::mem::take(&mut self.tape_fregs);
         let mut v = std::mem::take(&mut self.tape_vregs);
         if f.len() < tape.n_fregs {
@@ -1617,14 +1552,12 @@ impl Engine {
         let mut ops = [0u64; crate::metrics::N_OP_CLASSES];
         // Loop frames recycle an engine-held stack so steady-state
         // sweeps stay allocation-free (same pattern as the register
-        // scratch above); chunk runs that arrive with a pre-built frame
-        // seed the recycled stack instead.
+        // scratch above).
         let mut frames: Vec<TapeFrame> = std::mem::take(&mut self.tape_frames);
         frames.clear();
-        frames.extend(initial_frames);
         let mut retired: u64 = 0;
-        let mut pc: u32 = start_pc;
-        let end = end_pc;
+        let mut pc: u32 = 0;
+        let end = tape.instrs.len() as u32;
         while pc < end {
             retired += 1;
             if prof {
@@ -1857,7 +1790,6 @@ impl Engine {
                                     }
                                 }
                             }
-                            self.log_cell(buf, idx, *op, x);
                             pc += 1;
                             continue;
                         }
@@ -1893,7 +1825,6 @@ impl Engine {
                             dist.sample(&refs[..n], &mut self.rng, ValueMut::Scalar(&mut out))
                                 .expect("sampling failed");
                             self.state.flat_mut(buf)[idx] = out;
-                            self.log_cell(buf, idx, AssignOp::Set, out);
                         }
                         crate::eval::Dest::Range { buf, start, len } => {
                             let slice = &mut self.state.flat_mut(buf)[start..start + len];
@@ -1906,7 +1837,6 @@ impl Engine {
                             };
                             dist.sample(&refs[..n], &mut self.rng, out)
                                 .expect("sampling failed");
-                            self.log_written_range(buf, start, len);
                         }
                     }
                 }
@@ -1920,7 +1850,6 @@ impl Engine {
                     match self.tape_dest(lhs, &f) {
                         crate::eval::Dest::Cell { buf, idx: cell } => {
                             self.state.flat_mut(buf)[cell] = idx as f64;
-                            self.log_cell(buf, cell, AssignOp::Set, idx as f64);
                         }
                         crate::eval::Dest::Range { .. } => {
                             panic!("SampleLogits writes a scalar")
@@ -1937,32 +1866,10 @@ impl Engine {
                     pc = *target;
                     continue;
                 }
-                TInstr::LoopStart { kind, lo, hi, exit, rng_free } => {
+                TInstr::LoopStart { kind, lo, hi, exit } => {
                     let lo = f[*lo as usize] as i64;
                     let hi = f[*hi as usize] as i64;
                     let fresh = *kind == LoopKind::Par && !self.in_parallel;
-                    // Parallel dispatch: fresh `Par` loops always qualify
-                    // (their per-thread streams are chunking-invariant);
-                    // `AtmPar` loops qualify when their region draws no
-                    // randomness. Workers run with `threads = 1`, so
-                    // nested loops never re-dispatch.
-                    if self.threads > 1
-                        && hi - lo >= MIN_PAR_SPAN
-                        && (fresh || (*kind == LoopKind::AtmPar && !self.in_parallel && *rng_free))
-                    {
-                        let mut launch = 0;
-                        if fresh {
-                            // One kernel launch, exactly like the
-                            // sequential path; the master RNG is simply
-                            // never disturbed.
-                            self.launch_counter += 1;
-                            launch = self.launch_counter;
-                        }
-                        retired +=
-                            self.dispatch_loop_chunks(tape, pc + 1, *exit, lo, hi, fresh, launch, &f, &v);
-                        pc = *exit;
-                        continue;
-                    }
                     let mut launch = 0;
                     let mut master = None;
                     if fresh {
@@ -2067,7 +1974,6 @@ impl Engine {
                                 }
                             }
                         }
-                        self.log_cell(buf, idx, *op, *val);
                     } else {
                         let dest = self.tape_dest(lhs, &f);
                         self.write_dest(dest, *op, OwnVal::Num(*val), record);
@@ -2124,7 +2030,6 @@ impl Engine {
                                 }
                             }
                         }
-                        self.log_cell(buf, idx, *op, ll);
                     } else {
                         let dest = self.tape_dest(lhs, &f);
                         self.write_dest(dest, *op, OwnVal::Num(ll), record);
@@ -2138,7 +2043,7 @@ impl Engine {
                 *m += *o;
             }
         }
-        self.work += w + if charge_tail { tape.tail_w as u64 } else { 0 };
+        self.work += w + tape.tail_w as u64;
         let result = if want_result {
             let r = tape.result.expect("expression tape has no result operand");
             Some(if r.is_view() {
@@ -2154,228 +2059,6 @@ impl Engine {
         frames.clear();
         self.tape_frames = frames;
         (result, retired)
-    }
-
-    /// Splits `[lo, hi)` into at most `k` contiguous non-empty chunks.
-    fn par_chunks(lo: i64, hi: i64, k: usize) -> Vec<(i64, i64)> {
-        let n = (hi - lo) as usize;
-        let k = k.min(n).max(1);
-        (0..k)
-            .map(|i| (lo + (n * i / k) as i64, lo + (n * (i + 1) / k) as i64))
-            .collect()
-    }
-
-    /// Which worker chunks of an `n`-chunk dispatch the fault plan wants
-    /// to panic in (`panic@worker:I`). `None` when no plan is armed — the
-    /// common case, so the dispatch hot path pays one branch.
-    fn chunk_bombs(&self, n: usize) -> Option<Vec<bool>> {
-        let plan = self.fault.as_ref()?;
-        if plan.panics.is_empty() {
-            return None;
-        }
-        Some((0..n).map(|w| plan.panic_hits(w, self.fault_sweep)).collect())
-    }
-
-    /// Fans the iterations of an embedded tape loop (body at
-    /// `[body_pc, exit)`) across the worker pool. Each worker gets a
-    /// copy-on-write state clone plus clones of the register banks, runs
-    /// its chunk through [`Engine::run_tape_span`], and logs every state
-    /// write; the main thread replays logs in chunk order — sequential
-    /// iteration order — so results are bit-identical to the sequential
-    /// path at any worker count. Returns the body's retired-instruction
-    /// count.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_loop_chunks(
-        &mut self,
-        tape: &Tape,
-        body_pc: u32,
-        exit: u32,
-        lo: i64,
-        hi: i64,
-        fresh: bool,
-        launch: u64,
-        f: &[f64],
-        v: &[View],
-    ) -> u64 {
-        self.metrics.par_dispatches += 1;
-        let pool = self
-            .pool
-            .take()
-            .unwrap_or_else(|| crate::par::Pool::new(self.threads));
-        let chunks = Self::par_chunks(lo, hi, pool.threads());
-        let mut workers: Vec<Engine> = chunks
-            .iter()
-            .map(|_| {
-                let mut wk = self.fork_worker();
-                wk.tape_fregs = f.to_vec();
-                wk.tape_vregs = v.to_vec();
-                wk
-            })
-            .collect();
-        let bombs = self.chunk_bombs(chunks.len());
-        let retireds: Vec<u64> = {
-            let jobs: Vec<Box<dyn FnOnce() -> u64 + Send + '_>> = workers
-                .iter_mut()
-                .zip(&chunks)
-                .enumerate()
-                .map(|(w, (wk, &(a, b)))| {
-                    let bomb = bombs.as_ref().is_some_and(|bs| bs[w]);
-                    Box::new(move || {
-                        if bomb {
-                            panic!("{} (worker {w})", crate::fault::INJECTED_PANIC);
-                        }
-                        wk.run_par_chunk(tape, body_pc, exit, a, b, fresh, launch)
-                    }) as Box<dyn FnOnce() -> u64 + Send + '_>
-                })
-                .collect();
-            pool.scatter(jobs)
-        };
-        self.pool = Some(pool);
-        for wk in &mut workers {
-            self.merge_worker(wk);
-        }
-        if let Some(last) = workers.last() {
-            self.adopt_thread_locals(last);
-        }
-        retireds.iter().sum()
-    }
-
-    /// Runs one chunk `[chunk_lo, chunk_hi)` of a parallel tape loop on a
-    /// worker engine: seed the chunk's first per-thread stream, pre-build
-    /// the loop frame, and re-enter the interpreter over the body span.
-    /// The frame's `LoopEnd` handling advances the index, reseeds fresh
-    /// streams, and exits at `exit` — identical bookkeeping to the
-    /// sequential path, which is what makes the chunking invisible.
-    #[allow(clippy::too_many_arguments)]
-    fn run_par_chunk(
-        &mut self,
-        tape: &Tape,
-        body_pc: u32,
-        exit: u32,
-        chunk_lo: i64,
-        chunk_hi: i64,
-        fresh: bool,
-        launch: u64,
-    ) -> u64 {
-        self.metrics.par_chunks += 1;
-        if fresh {
-            self.rng = self.thread_rng(launch, chunk_lo);
-        }
-        self.env.push(chunk_lo);
-        let frame = TapeFrame {
-            idx: chunk_lo,
-            hi: chunk_hi,
-            body_pc,
-            exit,
-            fresh,
-            launch,
-            // Placeholder master: the worker's RNG is discarded with it.
-            master: if fresh { Some(augur_dist::Prng::seed_from_u64(0)) } else { None },
-        };
-        let (_, retired) = self.run_tape_span(tape, false, body_pc, exit, vec![frame], false);
-        retired
-    }
-
-    /// Fans a `TBlk::Par` kernel's thread range across the worker pool
-    /// (each worker runs whole body tapes for its chunk of threads) and
-    /// merges work, atomics, and write logs in chunk order.
-    fn dispatch_blk_chunks(&mut self, body: &Tape, lo: i64, hi: i64, par: bool, launch: u64) -> u64 {
-        self.metrics.par_dispatches += 1;
-        let pool = self
-            .pool
-            .take()
-            .unwrap_or_else(|| crate::par::Pool::new(self.threads));
-        let chunks = Self::par_chunks(lo, hi, pool.threads());
-        let mut workers: Vec<Engine> = chunks.iter().map(|_| self.fork_worker()).collect();
-        let bombs = self.chunk_bombs(chunks.len());
-        let retireds: Vec<u64> = {
-            let jobs: Vec<Box<dyn FnOnce() -> u64 + Send + '_>> = workers
-                .iter_mut()
-                .zip(&chunks)
-                .enumerate()
-                .map(|(w, (wk, &(a, b)))| {
-                    let bomb = bombs.as_ref().is_some_and(|bs| bs[w]);
-                    Box::new(move || {
-                        if bomb {
-                            panic!("{} (worker {w})", crate::fault::INJECTED_PANIC);
-                        }
-                        wk.metrics.par_chunks += 1;
-                        let mut r = 0;
-                        for t in a..b {
-                            if par {
-                                wk.rng = wk.thread_rng(launch, t);
-                            }
-                            wk.env.push(t);
-                            r += wk.run_tape(body);
-                            wk.env.pop();
-                        }
-                        r
-                    }) as Box<dyn FnOnce() -> u64 + Send + '_>
-                })
-                .collect();
-            pool.scatter(jobs)
-        };
-        self.pool = Some(pool);
-        for wk in &mut workers {
-            self.merge_worker(wk);
-        }
-        if let Some(last) = workers.last() {
-            self.adopt_thread_locals(last);
-        }
-        retireds.iter().sum()
-    }
-
-    /// Fans a `sumBlk` element range across the worker pool. Workers
-    /// return per-element values (element tapes are pure expression
-    /// tapes — no sampling, no stores), and the caller folds them in
-    /// index order so the floating-point reduction is the exact
-    /// sequential left fold.
-    fn dispatch_sum_chunks(&mut self, rhs: &Tape, lo: i64, hi: i64) -> (Vec<OwnVal>, u64) {
-        self.metrics.par_dispatches += 1;
-        let pool = self
-            .pool
-            .take()
-            .unwrap_or_else(|| crate::par::Pool::new(self.threads));
-        let chunks = Self::par_chunks(lo, hi, pool.threads());
-        let mut workers: Vec<Engine> = chunks.iter().map(|_| self.fork_worker()).collect();
-        type SumJob<'a> = Box<dyn FnOnce() -> (Vec<OwnVal>, u64) + Send + 'a>;
-        let bombs = self.chunk_bombs(chunks.len());
-        let results: Vec<(Vec<OwnVal>, u64)> = {
-            let jobs: Vec<SumJob<'_>> = workers
-                .iter_mut()
-                .zip(&chunks)
-                .enumerate()
-                .map(|(w, (wk, &(a, b)))| {
-                    let bomb = bombs.as_ref().is_some_and(|bs| bs[w]);
-                    Box::new(move || {
-                        if bomb {
-                            panic!("{} (worker {w})", crate::fault::INJECTED_PANIC);
-                        }
-                        wk.metrics.par_chunks += 1;
-                        let mut vs = Vec::with_capacity((b - a) as usize);
-                        let mut r = 0;
-                        for i in a..b {
-                            wk.env.push(i);
-                            let (view, ri) = wk.run_tape_value(rhs);
-                            r += ri;
-                            wk.env.pop();
-                            vs.push(wk.own_val(view));
-                        }
-                        (vs, r)
-                    }) as SumJob<'_>
-                })
-                .collect();
-            pool.scatter(jobs)
-        };
-        self.pool = Some(pool);
-        let mut retired = 0;
-        let mut vals = Vec::with_capacity((hi - lo) as usize);
-        for (wk, (vs, r)) in workers.iter_mut().zip(results) {
-            self.merge_worker(wk);
-            retired += r;
-            vals.extend(vs);
-        }
-        (vals, retired)
     }
 
     /// Resolves a compiled destination to concrete cells. The fast
@@ -2432,7 +2115,7 @@ impl Engine {
                 self.device.sequential(delta);
                 self.device.tape_dispatch(retired);
             }
-            TBlk::Par { kind, lo, hi, body, inner_par, rng_free } => {
+            TBlk::Par { kind, lo, hi, body, inner_par } => {
                 let lo = self.eval_int(lo);
                 let hi = self.eval_int(hi);
                 let threads = (hi - lo).max(0) as usize;
@@ -2442,17 +2125,7 @@ impl Engine {
                 let mut retired = 0;
                 self.record_atomics = record;
                 self.atomics.clear();
-                // `Par` kernels always qualify for multi-threaded dispatch
-                // (per-thread streams are chunking-invariant); `AtmPar`
-                // kernels only when the body draws no randomness.
-                if self.threads > 1 && hi - lo >= MIN_PAR_SPAN && (par || *rng_free) {
-                    let mut launch = 0;
-                    if par {
-                        self.launch_counter += 1;
-                        launch = self.launch_counter;
-                    }
-                    retired += self.dispatch_blk_chunks(body, lo, hi, par, launch);
-                } else if par {
+                if par {
                     self.launch_counter += 1;
                     let launch = self.launch_counter;
                     let master = self.rng.clone();
@@ -2501,28 +2174,17 @@ impl Engine {
                 let hi = self.eval_int(hi);
                 let n = (hi - lo).max(0) as usize;
                 let before_work = self.work;
-                // Element tapes come from pure expressions (no stores, no
-                // sampling), so chunks can be evaluated on workers freely;
-                // the fold below runs on the main thread in index order
-                // either way, preserving the sequential FP left fold.
-                let (vals, retired) = if self.threads > 1 && hi - lo >= MIN_PAR_SPAN {
-                    self.dispatch_sum_chunks(rhs, lo, hi)
-                } else {
-                    let mut vs = Vec::with_capacity(n);
-                    let mut r = 0;
-                    for i in lo..hi {
-                        self.env.push(i);
-                        let (view, ri) = self.run_tape_value(rhs);
-                        r += ri;
-                        self.env.pop();
-                        vs.push(self.own_val(view));
-                    }
-                    (vs, r)
-                };
+                // Each element is folded as soon as it is evaluated, in
+                // index order: the sequential floating-point left fold.
+                let mut retired = 0;
                 let mut scalar_acc = 0.0;
                 let mut vec_acc: Option<augur_math::PoolVec> = None;
-                for val in vals {
-                    match val {
+                for i in lo..hi {
+                    self.env.push(i);
+                    let (view, ri) = self.run_tape_value(rhs);
+                    retired += ri;
+                    self.env.pop();
+                    match self.own_val(view) {
                         OwnVal::Num(x) => scalar_acc += x,
                         OwnVal::VecD(xs) => match &mut vec_acc {
                             Some(acc_v) => {

@@ -1,18 +1,16 @@
-//! Sweep throughput: native vs tape engine vs tree-walking interpreter,
-//! and the multi-threaded tape executor vs its sequential baseline.
+//! Sweep throughput: native vs tape engine vs tree-walking interpreter.
 //!
 //! Runs the same compiled samplers (bit-identical chains, same seed)
-//! under `ExecBackend::Tree`, `ExecBackend::Tape`, `ExecBackend::Native`
-//! (when a C toolchain exists), and the tape with 8 worker threads, and
-//! measures *wall-clock* sweeps/second — the real dispatch-overhead
-//! difference, not the simulated device clock (which is identical by
-//! construction). This is the reproduction's analogue of the paper's
+//! under `ExecBackend::Tree`, `ExecBackend::Tape`, and
+//! `ExecBackend::Native` (when a C toolchain exists), and measures
+//! *wall-clock* sweeps/second — the real dispatch-overhead difference,
+//! not the simulated device clock (which is identical by construction).
+//! This is the reproduction's analogue of the paper's
 //! compiled-vs-interpreted motivation: the native lane IS emitted C
 //! (compiled by the host toolchain and `dlopen`ed), the tape a flat
-//! bytecode stand-in, the tree-walker a naive interpreter, and the
-//! threaded sweep stands in for the paper's multicore CPU backend
-//! (§7.2). `native_compile_ms` records the C compiler's wall time (0
-//! when the fingerprint-keyed artifact came from the disk cache).
+//! bytecode stand-in, and the tree-walker a naive interpreter.
+//! `native_compile_ms` records the C compiler's wall time (0 when the
+//! fingerprint-keyed artifact came from the disk cache).
 //!
 //! Every configuration of a workload binds a [`augur::Session`] off one
 //! shared [`augur::Plan`], so the frontend and middle-end run exactly
@@ -21,18 +19,16 @@
 //! `plan_cache_hit_compile_ms` times a second `plan()` call with the
 //! same shapes (a fingerprint lookup). The cached path must be at least
 //! 5x faster on LDA. `allocs_per_sweep` counts heap allocations per
-//! steady-state sweep on the sequential uninstrumented tape via a
-//! counting global allocator; the engine's slab arenas make it zero.
+//! steady-state sweep on the uninstrumented tape via a counting global
+//! allocator; the engine's slab arenas make it zero.
 //!
 //! Final states are verified bit-identical across all configurations
 //! (including runs with the op-class profiler and the per-kernel
 //! wall-clock timers disabled, whose throughput ratios are reported as
 //! `metrics_overhead` and `profile_overhead`) before any timing is
-//! reported — threading and observability are throughput knobs, never
-//! a reproducibility trade-off. Note that the
-//! parallel speedup is bounded by the host's core count (recorded as
-//! `host_cores` in the JSON): on a single-core container the 8-thread
-//! configuration measures pure overhead.
+//! reported — backends and observability are throughput knobs, never
+//! a reproducibility trade-off. Every lane runs one chain on one
+//! thread; the host's core count is recorded as `host_cores`.
 //!
 //! Emits `BENCH_sweep.json` into the working directory and a readable
 //! table to `results/sweep_throughput.md`.
@@ -47,9 +43,6 @@ use std::time::Instant;
 use augur::{ExecBackend, HostValue, McmcConfig, Model, SessionConfig, Target};
 use augur_bench::{emit, hgmm_args, lda_args, scale_arg};
 use augurv2::{models, workloads};
-
-/// Worker-thread count for the threaded tape configuration.
-const PAR_THREADS: usize = 8;
 
 /// Heap allocations observed process-wide, for `allocs_per_sweep`.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -89,7 +82,6 @@ struct Measurement {
     native_sweeps_per_s: f64,
     native_compile_ms: f64,
     native_ok: bool,
-    tape8_sweeps_per_s: f64,
     tape_timers_only_sweeps_per_s: f64,
     tape_untimed_sweeps_per_s: f64,
     cold_compile_ms: f64,
@@ -101,10 +93,6 @@ struct Measurement {
 impl Measurement {
     fn speedup(&self) -> f64 {
         self.tape_sweeps_per_s / self.tree_sweeps_per_s
-    }
-
-    fn par_speedup(&self) -> f64 {
-        self.tape8_sweeps_per_s / self.tape_sweeps_per_s
     }
 
     /// Emitted-and-compiled C vs the tree-walking interpreter — the
@@ -133,20 +121,19 @@ impl Measurement {
     }
 }
 
-/// Times `sweeps` sweeps of a freshly bound session under one strategy
-/// and thread count, returning (sweeps/sec, check value) where the check
+/// Times `sweeps` sweeps of a freshly bound session under one strategy,
+/// returning (sweeps/sec, check value) where the check
 /// value is a state readout that must agree bit-for-bit across
 /// configurations.
 fn run(
-    build: &dyn Fn(ExecBackend, usize, bool) -> augur::Session,
+    build: &dyn Fn(ExecBackend, bool) -> augur::Session,
     exec: ExecBackend,
-    threads: usize,
     timers: bool,
     op_class: bool,
     sweeps: usize,
     check_param: &str,
 ) -> (f64, f64) {
-    let mut s = build(exec, threads, timers);
+    let mut s = build(exec, timers);
     s.engine_mut().profile_ops = timers && op_class;
     s.init().unwrap();
     s.sweep(); // warm-up: touch every buffer once
@@ -158,15 +145,15 @@ fn run(
     (sweeps as f64 / dt, s.param(check_param).unwrap()[0])
 }
 
-/// Heap allocations per steady-state sweep on the sequential
-/// uninstrumented tape lane — the zero-allocation claim of the plan
+/// Heap allocations per steady-state sweep on the uninstrumented tape
+/// lane — the zero-allocation claim of the plan
 /// lifecycle, measured rather than asserted here (the tier-1
 /// `alloc_free` test asserts exact zero per model and lane).
 fn count_allocs(
-    build: &dyn Fn(ExecBackend, usize, bool) -> augur::Session,
+    build: &dyn Fn(ExecBackend, bool) -> augur::Session,
     sweeps: usize,
 ) -> f64 {
-    let mut s = build(ExecBackend::Tape, 1, false);
+    let mut s = build(ExecBackend::Tape, false);
     s.init().unwrap();
     s.sweep(); // warm-up: lazy one-time growth happens here
     let before = ALLOCS.load(Ordering::Relaxed);
@@ -181,35 +168,28 @@ fn measure(
     model: &'static str,
     sweeps: usize,
     check_param: &str,
-    build: &dyn Fn(ExecBackend, usize, bool) -> augur::Session,
+    build: &dyn Fn(ExecBackend, bool) -> augur::Session,
     cold_compile_ms: f64,
     plan_cache_hit_compile_ms: f64,
     native_ok: bool,
     native_compile_ms: f64,
 ) -> Measurement {
-    let (tree, check_tree) = run(build, ExecBackend::Tree, 1, true, true, sweeps, check_param);
-    let (tape, check_tape) = run(build, ExecBackend::Tape, 1, true, true, sweeps, check_param);
+    let (tree, check_tree) = run(build, ExecBackend::Tree, true, true, sweeps, check_param);
+    let (tape, check_tape) = run(build, ExecBackend::Tape, true, true, sweeps, check_param);
     let (native, check_native) = if native_ok {
-        run(build, ExecBackend::Native, 1, true, true, sweeps, check_param)
+        run(build, ExecBackend::Native, true, true, sweeps, check_param)
     } else {
         (0.0, check_tape)
     };
-    let (tape8, check_tape8) =
-        run(build, ExecBackend::Tape, PAR_THREADS, true, true, sweeps, check_param);
     let (timers_only, check_timers_only) =
-        run(build, ExecBackend::Tape, 1, true, false, sweeps, check_param);
+        run(build, ExecBackend::Tape, true, false, sweeps, check_param);
     let (untimed, check_untimed) =
-        run(build, ExecBackend::Tape, 1, false, false, sweeps, check_param);
+        run(build, ExecBackend::Tape, false, false, sweeps, check_param);
     let allocs_per_sweep = count_allocs(build, sweeps.min(16));
     assert_eq!(
         check_tree.to_bits(),
         check_tape.to_bits(),
         "{model}: tape diverged from the tree oracle"
-    );
-    assert_eq!(
-        check_tape.to_bits(),
-        check_tape8.to_bits(),
-        "{model}: {PAR_THREADS}-thread tape diverged from sequential"
     );
     assert_eq!(
         check_tape.to_bits(),
@@ -234,7 +214,6 @@ fn measure(
         native_sweeps_per_s: native,
         native_compile_ms,
         native_ok,
-        tape8_sweeps_per_s: tape8,
         tape_timers_only_sweeps_per_s: timers_only,
         tape_untimed_sweeps_per_s: untimed,
         cold_compile_ms,
@@ -327,12 +306,11 @@ fn lda(scale: f64) -> Measurement {
         vec![("w", HostValue::RaggedI(corpus.docs.clone()))],
     );
     let (native_ok, native_compile_ms) = native_probe(&plan);
-    let build = move |exec: ExecBackend, threads: usize, timers: bool| {
+    let build = move |exec: ExecBackend, timers: bool| {
         plan.session(SessionConfig {
             target: Target::Cpu,
             seed: 21,
             backend: exec,
-            threads,
             timers,
             ..Default::default()
         })
@@ -356,12 +334,11 @@ fn hgmm(scale: f64) -> Measurement {
         vec![("y", HostValue::Ragged(data.points.clone()))],
     );
     let (native_ok, native_compile_ms) = native_probe(&plan);
-    let build = move |exec: ExecBackend, threads: usize, timers: bool| {
+    let build = move |exec: ExecBackend, timers: bool| {
         plan.session(SessionConfig {
             target: Target::Cpu,
             seed: 5,
             backend: exec,
-            threads,
             timers,
             ..Default::default()
         })
@@ -394,13 +371,12 @@ fn hlr(scale: f64) -> Measurement {
         vec![("y", HostValue::VecF(data.y.clone()))],
     );
     let (native_ok, native_compile_ms) = native_probe(&plan);
-    let build = move |exec: ExecBackend, threads: usize, timers: bool| {
+    let build = move |exec: ExecBackend, timers: bool| {
         plan.session(SessionConfig {
             target: Target::Cpu,
             seed: 3,
             mcmc: mcmc.clone(),
             backend: exec,
-            threads,
             timers,
             ..Default::default()
         })
@@ -422,13 +398,13 @@ fn main() {
     let _ = writeln!(table, "scale = {scale}, host cores = {host_cores}\n");
     let _ = writeln!(
         table,
-        "| model | sweeps | tree (sweeps/s) | tape (sweeps/s) | speedup | native (sweeps/s) | native speedup | native compile (ms) | tape×{PAR_THREADS} (sweeps/s) | par speedup | metrics overhead | profile overhead | cold compile (ms) | cached plan (ms) | allocs/sweep |"
+        "| model | sweeps | tree (sweeps/s) | tape (sweeps/s) | speedup | native (sweeps/s) | native speedup | native compile (ms) | metrics overhead | profile overhead | cold compile (ms) | cached plan (ms) | allocs/sweep |"
     );
-    let _ = writeln!(table, "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|");
+    let _ = writeln!(table, "|---|---|---|---|---|---|---|---|---|---|---|---|---|");
     for (i, m) in results.iter().enumerate() {
         let _ = writeln!(
             table,
-            "| {} | {} | {:.2} | {:.2} | {:.2}x | {:.2} | {:.2}x | {:.2} | {:.2} | {:.2}x | {:.3} | {:.3} | {:.2} | {:.3} | {:.1} |",
+            "| {} | {} | {:.2} | {:.2} | {:.2}x | {:.2} | {:.2}x | {:.2} | {:.3} | {:.3} | {:.2} | {:.3} | {:.1} |",
             m.model,
             m.sweeps,
             m.tree_sweeps_per_s,
@@ -437,8 +413,6 @@ fn main() {
             m.native_sweeps_per_s,
             m.native_speedup(),
             m.native_compile_ms,
-            m.tape8_sweeps_per_s,
-            m.par_speedup(),
             m.metrics_overhead(),
             m.profile_overhead(),
             m.cold_compile_ms,
@@ -447,7 +421,7 @@ fn main() {
         );
         let _ = writeln!(
             json,
-            "  \"{}\": {{\"sweeps\": {}, \"tree_sweeps_per_s\": {:.4}, \"tape_sweeps_per_s\": {:.4}, \"speedup\": {:.4}, \"native_sweeps_per_s\": {:.4}, \"native_speedup\": {:.4}, \"native_compile_ms\": {:.4}, \"native_ok\": {}, \"tape{}_sweeps_per_s\": {:.4}, \"par_speedup\": {:.4}, \"tape_untimed_sweeps_per_s\": {:.4}, \"metrics_overhead\": {:.4}, \"profile_overhead\": {:.4}, \"cold_compile_ms\": {:.4}, \"plan_cache_hit_compile_ms\": {:.4}, \"cached_speedup\": {:.2}, \"allocs_per_sweep\": {:.2}, \"check\": {:e}}}{}",
+            "  \"{}\": {{\"sweeps\": {}, \"tree_sweeps_per_s\": {:.4}, \"tape_sweeps_per_s\": {:.4}, \"speedup\": {:.4}, \"native_sweeps_per_s\": {:.4}, \"native_speedup\": {:.4}, \"native_compile_ms\": {:.4}, \"native_ok\": {}, \"tape_untimed_sweeps_per_s\": {:.4}, \"metrics_overhead\": {:.4}, \"profile_overhead\": {:.4}, \"cold_compile_ms\": {:.4}, \"plan_cache_hit_compile_ms\": {:.4}, \"cached_speedup\": {:.2}, \"allocs_per_sweep\": {:.2}, \"check\": {:e}}}{}",
             m.model,
             m.sweeps,
             m.tree_sweeps_per_s,
@@ -457,9 +431,6 @@ fn main() {
             m.native_speedup(),
             m.native_compile_ms,
             m.native_ok,
-            PAR_THREADS,
-            m.tape8_sweeps_per_s,
-            m.par_speedup(),
             m.tape_untimed_sweeps_per_s,
             m.metrics_overhead(),
             m.profile_overhead(),
@@ -478,11 +449,10 @@ fn main() {
          off one shared plan per model; final states were verified\n\
          bit-identical before timing was reported (including with kernel\n\
          timers disabled). `native` is the plan's emitted C compiled by\n\
-         the host toolchain and `dlopen`ed (sequential by construction;\n\
-         0 when no toolchain exists); `native compile` is the C\n\
-         compiler's wall time, 0 when the fingerprint-keyed artifact was\n\
-         already in the disk cache. The parallel speedup is bounded by\n\
-         the host's core count. `metrics overhead` is timers-only ÷ uninstrumented\n\
+         the host toolchain and `dlopen`ed (0 when no toolchain exists);\n\
+         `native compile` is the C compiler's wall time, 0 when the\n\
+         fingerprint-keyed artifact was already in the disk cache.\n\
+         `metrics overhead` is timers-only ÷ uninstrumented\n\
          tape throughput — the cost of the per-kernel wall clocks alone;\n\
          `profile overhead` is the full default observability stack\n\
          (timers + per-step work + op-class bucketing) ÷ uninstrumented.\n\
@@ -491,18 +461,8 @@ fn main() {
          probe uses a canonical small corpus so data binding, which both\n\
          paths pay, does not drown the compilation being amortized);\n\
          `allocs/sweep` counts heap allocations per steady-state sweep\n\
-         (sequential tape, instrumentation off)."
+         (tape, instrumentation off)."
     );
-    // The scaling claim only means something where the hardware can
-    // express it; a 1-core container still verifies bit-identity above.
-    if host_cores >= PAR_THREADS {
-        let lda = &results[0];
-        assert!(
-            lda.par_speedup() >= 2.0,
-            "lda: expected >= 2x at {PAR_THREADS} workers on {host_cores} cores, got {:.2}x",
-            lda.par_speedup()
-        );
-    }
     // The native lane only asserts where it actually compiled; a host
     // without a C toolchain still verified bit-identity via the tape
     // fallback inside `measure`.

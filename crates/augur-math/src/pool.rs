@@ -12,7 +12,8 @@
 //!
 //! Design notes:
 //! * Pools are **thread-local** — no locks, and worker threads that
-//!   persist across sweeps (the `par` pool) warm up independently.
+//!   persist across sweeps (the serving layer's shards) warm up
+//!   independently.
 //! * Buffers are keyed by **capacity**, so a request only hits the heap
 //!   when a capacity is seen for the first time on a thread.
 //! * [`PoolVec`] derefs to `Vec<f64>`, so it drops into existing code

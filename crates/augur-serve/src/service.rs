@@ -86,7 +86,6 @@ pub fn hermetic_config(seed: u64) -> SessionConfig {
         mcmc: McmcConfig::default(),
         opt_flags: OptFlags::default(),
         backend: ExecBackend::default(),
-        threads: 1,
         trace_path: None,
         timers: true,
         checkpoint_path: None,

@@ -34,10 +34,12 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use augur_backend::checkpoint::CheckpointError;
-use augur_backend::par::Pool;
+use augur_backend::driver::panic_message;
 use augur_backend::Plan;
 
 use crate::{Error, SessionConfig};
@@ -359,7 +361,8 @@ struct FanSpec<'a> {
 }
 
 /// The shared fan-out: N sessions over one plan, each independently
-/// seeded, fanned across worker threads, collected in chain order.
+/// seeded, fanned across scoped worker threads that pull chain indices
+/// from a shared counter, collected in chain order.
 fn fan_chains(spec: FanSpec<'_>) -> Result<Chains, Error> {
     let FanSpec { plan, base, n_chains, sweeps, record, threads, checkpoint_dir, resume } = spec;
     if let (Some(dir), false) = (checkpoint_dir, resume) {
@@ -392,25 +395,40 @@ fn fan_chains(spec: FanSpec<'_>) -> Result<Chains, Error> {
         let draws = session.sample(remaining, record)?;
         Ok((draws, session.profile()))
     };
-    let results: Vec<Result<_, Error>> = if threads > 1 && n_chains > 1 {
-        let pool = Pool::new(threads);
-        let jobs = (0..n_chains)
-            .map(|c| {
-                let run_one = &run_one;
-                Box::new(move || run_one(c)) as Box<dyn FnOnce() -> _ + Send + '_>
-            })
-            .collect();
-        pool.try_scatter(jobs)
-            .into_iter()
-            .enumerate()
-            .map(|(c, r)| {
-                r.unwrap_or_else(|detail| {
-                    Err(Error::WorkerPanic { kernel: format!("chain {c}"), detail })
+    // A chain that panics outside its session's own isolation becomes a
+    // typed error for that chain alone.
+    let guarded = |c: usize| -> Result<ChainOut, Error> {
+        catch_unwind(AssertUnwindSafe(|| run_one(c))).unwrap_or_else(|payload| {
+            let detail = panic_message(payload);
+            Err(Error::WorkerPanic { kernel: format!("chain {c}"), detail })
+        })
+    };
+    let results: Vec<Result<ChainOut, Error>> = if threads > 1 && n_chains > 1 {
+        let next = AtomicUsize::new(0);
+        let mut done: Vec<(usize, Result<ChainOut, Error>)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads.min(n_chains))
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut mine = Vec::new();
+                        loop {
+                            let c = next.fetch_add(1, Ordering::Relaxed);
+                            if c >= n_chains {
+                                return mine;
+                            }
+                            mine.push((c, guarded(c)));
+                        }
+                    })
                 })
-            })
-            .collect()
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("chain panics are caught per chain"))
+                .collect()
+        });
+        done.sort_by_key(|(c, _)| *c);
+        done.into_iter().map(|(_, r)| r).collect()
     } else {
-        (0..n_chains).map(run_one).collect()
+        (0..n_chains).map(guarded).collect()
     };
     let mut draws = Vec::with_capacity(n_chains);
     let mut profiles = Vec::with_capacity(n_chains);

@@ -74,7 +74,7 @@ pub use augur_backend::{
     NATIVE_BREAKER_THRESHOLD,
 };
 pub use augur_backend::state::HostValue;
-pub use augur_backend::{ExecBackend, ExecStrategy};
+pub use augur_backend::ExecBackend;
 pub use augur_backend::{Checkpoint, CheckpointError, FaultPlan};
 pub use augur_backend::{ExecReport, KernelReport, KernelStats, RunReport};
 pub use augur_backend::{ExplainPlan, MemWatermark, Profile, Span, StepProfile};
@@ -104,9 +104,9 @@ pub mod prelude {
         autocovariance, ess, ess_per_sec, split_rhat, OnlineParamDiag, Welford,
     };
     pub use crate::{
-        BackendAvailability, CompiledModel, Error, ErrorKind, ExecBackend, ExecStrategy,
-        ExplainPlan, HostValue, KernelStats, McmcConfig, Model, OptFlags, Plan, PlanCacheStats,
-        PlanEvent, Profile, RunReport, Session, SessionConfig, Target,
+        BackendAvailability, CompiledModel, Error, ErrorKind, ExecBackend, ExplainPlan,
+        HostValue, KernelStats, McmcConfig, Model, OptFlags, Plan, PlanCacheStats, PlanEvent,
+        Profile, RunReport, Session, SessionConfig, Target,
     };
 }
 

@@ -45,7 +45,7 @@ pub struct DeviceConfig {
     /// (§7.2).
     pub serial_ns_per_work_unit: f64,
     /// Per-instruction decode/dispatch charge for tape-compiled execution
-    /// (the `ExecStrategy::Tape` engine). The tape stands in for the
+    /// (the `ExecBackend::Tape` engine). The tape stands in for the
     /// paper's emitted CUDA/C, so the default is zero — compiled code has
     /// no interpretive overhead and both strategies observe identical
     /// virtual time. Raising it is an ablation knob: it models running

@@ -10,9 +10,9 @@
 //! tape op-class counts, and the peak-memory watermark.
 //!
 //! The work-counter portion of `Profile::digest()` is deterministic: it
-//! is byte-identical across the tree and tape execution strategies and
-//! across `AUGUR_THREADS=1/2/8`, which makes it a cheap cross-strategy
-//! regression oracle (wall times, of course, are not).
+//! is byte-identical across the tree, tape, and native execution
+//! strategies, which makes it a cheap cross-strategy regression oracle
+//! (wall times, of course, are not).
 //!
 //! Run with: `cargo run --release --example explain`
 
@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== profile ===\n{profile}");
 
     // The digest covers only deterministic work counters — pin it in a
-    // test and it holds across strategies and thread counts.
+    // test and it holds across execution strategies.
     println!("digest: {}", profile.digest());
 
     // Folded stacks feed straight into flamegraph.pl / speedscope.

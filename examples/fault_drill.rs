@@ -4,14 +4,13 @@
 //! The sampler configuration honors three environment variables:
 //!
 //! - `AUGUR_FAULT`  — a deterministic fault-injection plan, e.g.
-//!   `nan@proc:u3_gibbs:sweep=7`, `panic@worker:0:sweep=5`, `io@trace`
+//!   `nan@proc:u3_gibbs:sweep=7`, `panic@proc:u3_gibbs:sweep=5`, `io@trace`
 //! - `AUGUR_CKPT` / `AUGUR_CKPT_EVERY` — periodic checkpoint snapshots
-//! - `AUGUR_THREADS` — tape-executor worker count
 //!
 //! The drill runs a small HGMM chain under whatever faults the
 //! environment injects and reports what the guardrails caught. Injected
 //! NaNs must end as recorded numerical events with a finite chain;
-//! injected worker panics must surface as one typed error per attempt —
+//! injected procedure panics must surface as one typed error per attempt —
 //! never a process abort. Exit status 0 means every fault was contained.
 //!
 //! Run with, e.g.:

@@ -5,11 +5,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline 2>/dev/null || cargo build --release
-# Run the suite sequentially and with the parallel tape executor: traces
-# must be bit-identical at any worker count, so both runs see the same
-# expected values.
-AUGUR_THREADS=1 cargo test -q
-AUGUR_THREADS=8 cargo test -q
+cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Allocation-free steady state: the counting-allocator harness must see
@@ -17,12 +13,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 # executor lanes (the plan lifecycle's runtime claim).
 cargo test -q --test alloc_free
 
-# The deprecated `Infer`/`Sampler`/`SamplerConfig`/`ChainRunner` shims
-# were removed after their one-release grace window; the names must not
-# reappear in the public crates.
-! grep -rnE "pub (struct|type) (Infer|Sampler|SamplerConfig|ChainRunner)\b" \
-    crates/augur/src crates/augur-backend/src
-! grep -rn "#\[deprecated" crates/augur/src crates/augur-backend/src
+# The deprecated `Infer`/`Sampler`/`SamplerConfig`/`ChainRunner`/
+# `ExecStrategy` shims and the root `diag` shim were removed after their
+# one-release grace window; the names must not reappear.
+! grep -rnE "pub (struct|type) (Infer|Sampler|SamplerConfig|ChainRunner|ExecStrategy)\b" \
+    crates/augur/src crates/augur-backend/src src
+! grep -rn "ExecStrategy" crates src
+! grep -rn "#\[deprecated" crates/augur/src crates/augur-backend/src src
 
 # Native-backend smoke: the emit-C-and-dlopen lane must stay bit-exact
 # against tree and tape (draws, report digest, profile digest), the

@@ -140,7 +140,6 @@ fn steady_state_sweeps_do_not_allocate() {
             let mut s = plan
                 .session(SessionConfig {
                     backend: exec,
-                    threads: 1,
                     mcmc: mcmc.clone(),
                     ..Default::default()
                 })

@@ -1,5 +1,5 @@
 //! Fault-injection drills: deterministically injected NaN densities,
-//! worker panics, and trace-sink I/O failures must each surface as a
+//! kernel panics, and trace-sink I/O failures must each surface as a
 //! recorded numerical event or a typed error — never a process abort,
 //! never a silently poisoned chain.
 
@@ -7,6 +7,7 @@ use augur::{
     Error, ExecBackend, FaultPlan, HostValue, McmcConfig, Model, Session, SessionConfig,
 };
 use augur_backend::fault::{NanFault, PanicFault};
+use augur_backend::RunError;
 
 const GAMMA_POISSON: &str = "(N, a, b) => {
     param r ~ Gamma(a, b) ;
@@ -120,18 +121,17 @@ fn fault_plan_is_inert_before_its_sweep() {
     assert_eq!(clean, faulted, "a pending fault perturbed earlier sweeps");
 }
 
-/// An injected worker panic surfaces as `RunError::WorkerPanic` from
+/// An injected procedure panic surfaces as `RunError::WorkerPanic` from
 /// `try_sweep`, the process does not abort, and the sampler object stays
 /// usable for subsequent sweeps.
 #[test]
 fn injected_worker_panic_is_isolated_to_a_typed_error() {
     let plan = FaultPlan {
-        panics: vec![PanicFault { worker: 0, sweep: Some(3) }],
+        panics: vec![PanicFault { proc_name: "u0_gibbs".to_owned(), sweep: Some(3) }],
         ..Default::default()
     };
     let mut s = gibbs_sampler(SessionConfig {
         backend: ExecBackend::Tape,
-        threads: 2,
         fault: Some(plan),
         checkpoint_every: 0,
         ..Default::default()
@@ -139,16 +139,21 @@ fn injected_worker_panic_is_isolated_to_a_typed_error() {
     s.try_sweep().unwrap();
     s.try_sweep().unwrap();
     let err = s.try_sweep().expect_err("sweep 3 must fail");
+    assert!(matches!(err, RunError::WorkerPanic { .. }), "untyped: {err:?}");
     let shown = format!("{err}");
     assert!(shown.contains("panicked"), "unexpected error: {shown}");
     assert!(shown.contains("fault injection"), "payload lost: {shown}");
     assert_eq!(s.sweeps(), 2, "the failed sweep is not counted as done");
     // A failed sweep does not advance the sweep counter, so retrying hits
-    // the same injected fault: the error is deterministic, the pool is
-    // rebuilt each time, and the process never aborts. (Recovery from a
-    // persistent fault is via checkpoint resume, not retry.)
+    // the same injected fault: the error is deterministic and the
+    // process never aborts. (Recovery from a persistent fault is via
+    // checkpoint resume, not retry.)
     let again = format!("{}", s.try_sweep().expect_err("retry hits the same fault"));
     assert_eq!(shown, again, "isolation must be deterministic");
+    // The session itself stays usable: reading the state and the
+    // report still works after the failed sweeps.
+    assert_eq!(s.param("r").unwrap().len(), 1);
+    assert_eq!(s.report().sweeps, 2);
 }
 
 /// The same panic drill through the high-level `sample` API returns a
@@ -156,12 +161,11 @@ fn injected_worker_panic_is_isolated_to_a_typed_error() {
 #[test]
 fn sample_surfaces_worker_panic_as_typed_error() {
     let plan = FaultPlan {
-        panics: vec![PanicFault { worker: 0, sweep: Some(2) }],
+        panics: vec![PanicFault { proc_name: "u0_gibbs".to_owned(), sweep: Some(2) }],
         ..Default::default()
     };
     let mut s = gibbs_sampler(SessionConfig {
         backend: ExecBackend::Tape,
-        threads: 2,
         fault: Some(plan),
         checkpoint_every: 0,
         ..Default::default()
@@ -208,14 +212,15 @@ fn trace_io_faults_are_counted_not_fatal() {
 /// clauses with a typed error.
 #[test]
 fn fault_grammar_round_trips() {
-    let plan = FaultPlan::parse("nan@proc:u0_gibbs:sweep=5; panic@worker:1; io@trace").unwrap();
+    let plan = FaultPlan::parse("nan@proc:u0_gibbs:sweep=5; panic@proc:u1_gibbs; io@trace").unwrap();
     assert_eq!(plan.nan.len(), 1);
     assert_eq!(plan.nan[0].proc_name, "u0_gibbs");
     assert_eq!(plan.nan[0].sweep, Some(5));
     assert_eq!(plan.panics.len(), 1);
-    assert_eq!(plan.panics[0].worker, 1);
+    assert_eq!(plan.panics[0].proc_name, "u1_gibbs");
     assert_eq!(plan.panics[0].sweep, None);
     assert!(plan.trace_io);
     assert!(FaultPlan::parse("nan@proc").is_err());
+    assert!(FaultPlan::parse("panic@worker:0").is_err());
     assert!(FaultPlan::parse("frobnicate@everything").is_err());
 }

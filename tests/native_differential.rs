@@ -37,10 +37,9 @@ fn native_available() -> bool {
         .any(|b| b.backend == ExecBackend::Native && b.available)
 }
 
-fn config(backend: ExecBackend, threads: usize) -> SessionConfig {
+fn config(backend: ExecBackend) -> SessionConfig {
     SessionConfig {
         backend,
-        threads,
         mcmc: McmcConfig { step_size: 0.05, leapfrog_steps: 8, ..Default::default() },
         seed: 0xD1FF,
         ..Default::default()
@@ -60,7 +59,6 @@ fn run(
     record: &[&str],
     sweeps: usize,
     backend: ExecBackend,
-    threads: usize,
 ) -> (Vec<Vec<u64>>, String, String) {
     let compiled = match sched {
         Some(s) => Model::with_schedule(model, s),
@@ -70,7 +68,7 @@ fn run(
     let mut s = compiled
         .plan(args, data)
         .expect("model plans")
-        .session(config(backend, threads))
+        .session(config(backend))
         .expect("session binds");
     if backend == ExecBackend::Native {
         assert_eq!(
@@ -96,7 +94,7 @@ fn run(
 }
 
 /// Native vs tree trajectories, and native vs tape report/profile
-/// digests, at 1 and 8 requested threads.
+/// digests.
 #[allow(clippy::too_many_arguments)]
 fn assert_native_matches(
     label: &str,
@@ -120,7 +118,6 @@ fn assert_native_matches(
         record,
         sweeps,
         ExecBackend::Tree,
-        1,
     );
     let (_, tape_report, tape_profile) = run(
         label,
@@ -131,30 +128,15 @@ fn assert_native_matches(
         record,
         sweeps,
         ExecBackend::Tape,
-        1,
     );
-    for threads in [1, 8] {
-        let (native, report, profile) = run(
-            label,
-            model,
-            sched,
-            args.clone(),
-            data.clone(),
-            record,
-            sweeps,
-            ExecBackend::Native,
-            threads,
-        );
-        assert_eq!(tree.len(), native.len(), "{label}: sweep counts differ");
-        for (s, (a, b)) in tree.iter().zip(&native).enumerate() {
-            assert_eq!(
-                a, b,
-                "{label}: native ({threads} threads) diverged from tree at sweep {s}"
-            );
-        }
-        assert_eq!(report, tape_report, "{label}: report digest ({threads} threads)");
-        assert_eq!(profile, tape_profile, "{label}: profile digest ({threads} threads)");
+    let (native, report, profile) =
+        run(label, model, sched, args, data, record, sweeps, ExecBackend::Native);
+    assert_eq!(tree.len(), native.len(), "{label}: sweep counts differ");
+    for (s, (a, b)) in tree.iter().zip(&native).enumerate() {
+        assert_eq!(a, b, "{label}: native diverged from tree at sweep {s}");
     }
+    assert_eq!(report, tape_report, "{label}: report digest");
+    assert_eq!(profile, tape_profile, "{label}: profile digest");
 }
 
 fn hgmm_args(k: usize, d: usize, n: usize) -> Vec<HostValue> {
@@ -248,7 +230,7 @@ fn native_runs_or_records_a_fallback_reason() {
         .backends()
         .iter()
         .any(|b| b.backend == ExecBackend::Native && b.available);
-    let mut s = plan.session(config(ExecBackend::Native, 1)).unwrap();
+    let mut s = plan.session(config(ExecBackend::Native)).unwrap();
     s.init().unwrap();
     let draws = s.sample(5, &["theta"]).unwrap();
     if promised {
@@ -262,7 +244,7 @@ fn native_runs_or_records_a_fallback_reason() {
         assert!(!reason.is_empty());
     }
     // Either way the draws are the tape's draws, bit for bit.
-    let mut t = plan.session(config(ExecBackend::Tape, 1)).unwrap();
+    let mut t = plan.session(config(ExecBackend::Tape)).unwrap();
     t.init().unwrap();
     let tape_draws = t.sample(5, &["theta"]).unwrap();
     for (a, b) in draws.iter().zip(&tape_draws) {

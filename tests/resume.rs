@@ -1,7 +1,6 @@
 //! Fault-tolerance tests: kill-and-resume from a checkpoint must be
 //! invisible — the resumed chain's trace and final report digest are
-//! byte-identical to an uninterrupted run, in both execution lanes and at
-//! any worker-thread count.
+//! byte-identical to an uninterrupted run, in both execution lanes.
 
 use std::path::PathBuf;
 
@@ -99,11 +98,9 @@ fn kill_resume_is_invisible(
     tag: &str,
     build: fn(SessionConfig) -> Session,
     exec: ExecBackend,
-    threads: usize,
 ) {
     let config = || SessionConfig {
         backend: exec,
-        threads,
         checkpoint_every: 0, // checkpoints are written explicitly below
         ..Default::default()
     };
@@ -118,7 +115,7 @@ fn kill_resume_is_invisible(
 
     // Interrupted run: sweep to the kill point, checkpoint, and drop the
     // sampler entirely (the "kill").
-    let path = tmp(&format!("{tag}_{threads}"));
+    let path = tmp(tag);
     let mut prefix = {
         let mut s = build(config());
         s.init().unwrap();
@@ -144,56 +141,20 @@ fn kill_resume_is_invisible(
 
 #[test]
 fn hgmm_kill_resume_tree_and_tape_all_thread_counts() {
-    kill_resume_is_invisible("hgmm_tree", hgmm_sampler, ExecBackend::Tree, 1);
-    for threads in [1, 2, 8] {
-        kill_resume_is_invisible("hgmm_tape", hgmm_sampler, ExecBackend::Tape, threads);
-    }
+    kill_resume_is_invisible("hgmm_tree", hgmm_sampler, ExecBackend::Tree);
+    kill_resume_is_invisible("hgmm_tape", hgmm_sampler, ExecBackend::Tape);
 }
 
 #[test]
 fn lda_kill_resume_tree_and_tape_all_thread_counts() {
-    kill_resume_is_invisible("lda_tree", lda_sampler, ExecBackend::Tree, 1);
-    for threads in [1, 2, 8] {
-        kill_resume_is_invisible("lda_tape", lda_sampler, ExecBackend::Tape, threads);
-    }
+    kill_resume_is_invisible("lda_tree", lda_sampler, ExecBackend::Tree);
+    kill_resume_is_invisible("lda_tape", lda_sampler, ExecBackend::Tape);
 }
 
 #[test]
 fn hlr_kill_resume_tree_and_tape_all_thread_counts() {
-    kill_resume_is_invisible("hlr_tree", hlr_sampler, ExecBackend::Tree, 1);
-    for threads in [1, 2, 8] {
-        kill_resume_is_invisible("hlr_tape", hlr_sampler, ExecBackend::Tape, threads);
-    }
-}
-
-/// A checkpoint written under one thread count resumes bit-exactly under
-/// another: determinism is thread-count invariant, and the snapshot
-/// carries everything the trajectory depends on.
-#[test]
-fn checkpoint_resumes_across_thread_counts() {
-    let config = |threads| SessionConfig {
-        backend: ExecBackend::Tape,
-        threads,
-        checkpoint_every: 0,
-        ..Default::default()
-    };
-    let mut s = hgmm_sampler(config(1));
-    s.init().unwrap();
-    let reference = record_sweeps(&mut s, 24);
-
-    let path = tmp("cross_threads");
-    let mut prefix = {
-        let mut s = hgmm_sampler(config(1));
-        s.init().unwrap();
-        let prefix = record_sweeps(&mut s, 10);
-        s.write_checkpoint(&path).unwrap();
-        prefix
-    };
-    let mut s = hgmm_sampler(config(8));
-    s.resume(&path).unwrap();
-    prefix.extend(record_sweeps(&mut s, 14));
-    std::fs::remove_file(&path).ok();
-    assert_eq!(prefix, reference, "thread-count change across resume diverged");
+    kill_resume_is_invisible("hlr_tree", hlr_sampler, ExecBackend::Tree);
+    kill_resume_is_invisible("hlr_tape", hlr_sampler, ExecBackend::Tape);
 }
 
 /// Periodic checkpointing via `checkpoint_every` leaves a resumable file

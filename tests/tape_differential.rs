@@ -2,8 +2,8 @@
 //!
 //! The flat instruction tape (`ExecBackend::Tape`) must reproduce the
 //! reference tree-walking interpreter (`ExecBackend::Tree`)
-//! *bit-for-bit*: the per-thread splitmix RNG streams are execution-order
-//! independent, so any divergence — a reordered draw, a different
+//! *bit-for-bit*: both draw every `Par` iteration from the same
+//! per-iteration splitmix RNG stream, so any divergence — a reordered draw, a different
 //! rounding, a skipped work charge that shifts a reseed — shows up as a
 //! trace mismatch, not just a statistical wobble. Every kernel flavor
 //! (Gibbs, ESlice, HMC, NUTS, MH, MALA, Slice) is exercised over the
@@ -24,7 +24,6 @@ fn bit_trace(
     record: &[&str],
     sweeps: usize,
     exec: ExecBackend,
-    threads: usize,
 ) -> Vec<Vec<u64>> {
     let compiled = match sched {
         Some(s) => Model::with_schedule(model, s),
@@ -36,7 +35,6 @@ fn bit_trace(
         .expect("model plans")
         .session(SessionConfig {
             backend: exec,
-            threads,
             mcmc: McmcConfig { step_size: 0.05, leapfrog_steps: 8, ..Default::default() },
             seed: 0xD1FF,
             ..Default::default()
@@ -55,9 +53,7 @@ fn bit_trace(
         .collect()
 }
 
-/// Asserts tape and tree agree exactly (localizing the first divergence),
-/// then that the multi-threaded tape reproduces the single-threaded trace
-/// bit-for-bit at 2 and 8 worker threads.
+/// Asserts tape and tree agree exactly (localizing the first divergence).
 fn assert_tape_matches_tree(
     label: &str,
     model: &str,
@@ -75,40 +71,12 @@ fn assert_tape_matches_tree(
         record,
         sweeps,
         ExecBackend::Tree,
-        1,
     );
-    let tape = bit_trace(
-        model,
-        sched,
-        args.clone(),
-        data.clone(),
-        record,
-        sweeps,
-        ExecBackend::Tape,
-        1,
-    );
+    let tape = bit_trace(model, sched, args, data, record, sweeps, ExecBackend::Tape);
     for (s, (a, b)) in tree.iter().zip(&tape).enumerate() {
         assert_eq!(a, b, "{label}: tape diverged from tree at sweep {s}");
     }
     assert_eq!(tree.len(), tape.len(), "{label}: sweep counts differ");
-    for threads in [2, 8] {
-        let par = bit_trace(
-            model,
-            sched,
-            args.clone(),
-            data.clone(),
-            record,
-            sweeps,
-            ExecBackend::Tape,
-            threads,
-        );
-        for (s, (a, b)) in tape.iter().zip(&par).enumerate() {
-            assert_eq!(
-                a, b,
-                "{label}: {threads}-thread tape diverged from sequential at sweep {s}"
-            );
-        }
-    }
 }
 
 fn hgmm_args(k: usize, d: usize, n: usize) -> Vec<HostValue> {
@@ -208,7 +176,6 @@ fn report_digest(
     data: Vec<(&str, HostValue)>,
     sweeps: usize,
     exec: ExecBackend,
-    threads: usize,
 ) -> String {
     let compiled = match sched {
         Some(s) => Model::with_schedule(model, s),
@@ -220,7 +187,6 @@ fn report_digest(
         .expect("model plans")
         .session(SessionConfig {
             backend: exec,
-            threads,
             mcmc: McmcConfig { step_size: 0.05, leapfrog_steps: 8, ..Default::default() },
             seed: 0xD1FF,
             ..Default::default()
@@ -235,7 +201,7 @@ fn report_digest(
 
 /// The deterministic half of a [`RunReport`] — schedule, sweep count,
 /// per-kernel counters, work — must be byte-identical across execution
-/// strategies and at 1/2/8 worker threads, for all three benchmark
+/// strategies, for all three benchmark
 /// models: the same contract the traces obey, extended to observability.
 #[test]
 fn run_reports_are_identical_across_strategies_and_threads() {
@@ -295,24 +261,10 @@ fn run_reports_are_identical_across_strategies_and_threads() {
             data.clone(),
             sweeps,
             ExecBackend::Tree,
-            1,
         );
         assert!(reference.contains("sweeps=10"), "{label}: digest missing sweeps");
-        for threads in [1, 2, 8] {
-            let got = report_digest(
-                model,
-                sched,
-                args.clone(),
-                data.clone(),
-                sweeps,
-                ExecBackend::Tape,
-                threads,
-            );
-            assert_eq!(
-                reference, got,
-                "{label}: report digest diverged (tape, {threads} threads)"
-            );
-        }
+        let got = report_digest(model, sched, args, data, sweeps, ExecBackend::Tape);
+        assert_eq!(reference, got, "{label}: report digest diverged (tape)");
     }
 }
 
@@ -326,7 +278,6 @@ fn profile_digest(
     data: Vec<(&str, HostValue)>,
     sweeps: usize,
     exec: ExecBackend,
-    threads: usize,
 ) -> String {
     let compiled = match sched {
         Some(s) => Model::with_schedule(model, s),
@@ -338,7 +289,6 @@ fn profile_digest(
         .expect("model plans")
         .session(SessionConfig {
             backend: exec,
-            threads,
             mcmc: McmcConfig { step_size: 0.05, leapfrog_steps: 8, ..Default::default() },
             seed: 0xD1FF,
             timers: true,
@@ -354,7 +304,7 @@ fn profile_digest(
 
 /// The work-counter portion of a phase [`augur::Profile`] — schedule,
 /// sweeps, total work, per-step work — must be byte-identical across
-/// execution strategies and at 1/2/8 worker threads with timers on, for
+/// execution strategies with timers on, for
 /// all three benchmark models. Wall times and tape op-class counts are
 /// deliberately outside the digest (the tree interpreter retires no tape
 /// instructions), so this pins exactly the deterministic half.
@@ -416,25 +366,11 @@ fn profile_digests_are_identical_across_strategies_and_threads() {
             data.clone(),
             sweeps,
             ExecBackend::Tree,
-            1,
         );
         assert!(reference.contains("sweeps=10"), "{label}: digest missing sweeps");
         assert!(reference.contains(":work="), "{label}: digest missing per-step work");
-        for threads in [1, 2, 8] {
-            let got = profile_digest(
-                model,
-                sched,
-                args.clone(),
-                data.clone(),
-                sweeps,
-                ExecBackend::Tape,
-                threads,
-            );
-            assert_eq!(
-                reference, got,
-                "{label}: profile digest diverged (tape, {threads} threads)"
-            );
-        }
+        let got = profile_digest(model, sched, args, data, sweeps, ExecBackend::Tape);
+        assert_eq!(reference, got, "{label}: profile digest diverged (tape)");
     }
 }
 
