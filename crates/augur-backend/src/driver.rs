@@ -413,6 +413,8 @@ impl Session {
                 match plan.native_module() {
                     Ok(module) => {
                         breaker.record_success();
+                        engine.native_scratch =
+                            crate::native::Scratch::new(engine.state.num_buffers(), &module);
                         engine.native = Some(module);
                     }
                     Err(reason) => {

@@ -107,6 +107,9 @@ pub struct Engine {
     /// plan's C artifact built; procedures it covers dispatch through
     /// the extern-C ABI, the rest fall back to the tape.
     pub(crate) native: Option<std::sync::Arc<crate::native::NativeModule>>,
+    /// Pointer table and log-table scratch for native calls, sized when
+    /// `native` is bound.
+    pub(crate) native_scratch: crate::native::Scratch,
     /// Slot stack for owned temporaries created by native-code callbacks
     /// (handles passed back to C instead of raw pointers).
     pub(crate) native_own: Vec<View>,
@@ -143,6 +146,14 @@ pub struct Engine {
     pub(crate) fault_sweep: u64,
 }
 
+// An engine (native scratch included) must be able to move to another
+// thread between calls; pin it so a raw-pointer field cannot silently
+// lose that.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<Engine>();
+};
+
 impl Engine {
     /// Creates an engine over a populated state.
     pub fn new(state: State, rng: Prng, device: Device, mode: ExecMode) -> Self {
@@ -158,6 +169,7 @@ impl Engine {
             mode,
             backend: ExecBackend::default(),
             native: None,
+            native_scratch: Default::default(),
             native_own: Vec::new(),
             native_master_rng: None,
             env: Vec::new(),

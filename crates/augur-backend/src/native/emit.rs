@@ -22,24 +22,43 @@
 //! baked in as constants, which is what lets the C compiler vectorize
 //! the flat loop bodies the interpreters dispatch one node at a time.
 //!
+//! Two rewrites keep the C compiler's job easy without changing a bit of
+//! output:
+//!
+//! * **Log tables.** A procedure writes only the buffers named as the
+//!   destination of its `Assign`, `Sample` and `SampleLogits`
+//!   statements (callbacks write nothing else). An inlined Categorical
+//!   density inside a loop whose weights are a static slice of a buffer
+//!   the procedure never writes reads `log(w)` from a table filled once
+//!   at procedure entry (`aug_log_table`) instead of calling `log` per
+//!   trip. The table holds exactly the values `aug_cat_ll` would compute
+//!   (`log(w)` for `w > 0`, else `-INFINITY`), the index checks are
+//!   kept, and the work charge is the same static `+4`; filling the
+//!   table charges nothing. Tables live in engine-owned scratch passed
+//!   as `augctx::S`; [`EmittedModule::table_cells`] sizes it.
+//! * **Cold traps.** Every bounds or length check calls one
+//!   `noreturn, cold, noinline` wrapper, `aug_trap`, so the check is a
+//!   never-taken branch the compiler can hoist and merge across loop
+//!   bodies.
+//!
 //! A procedure using a construct the emitter does not cover (or whose
 //! exact semantics cannot be decided statically, e.g. destination
 //! indexing through a degenerate single-row ragged buffer) is skipped
 //! with a recorded reason; the engine runs it on the tape, which is
 //! bit-identical anyway.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use augur_dist::{DistKind, SimpleTy, ALL_KINDS};
 use augur_lang::ast::{BinOp, Builtin};
 use augur_low::il::{AssignOp, LoopKind, OpN};
 
-use crate::compile::{ProcTable, RExpr, RLValue, RRef, RStmt};
+use crate::compile::{ProcTable, RExpr, RLValue, RProc, RRef, RStmt};
 use crate::state::{BufId, RowElem, Shape, State};
 
 /// Bumped whenever the emitted C or the extern-C ABI changes shape;
 /// part of the on-disk artifact cache key so stale `.so`s never load.
-pub const CODEGEN_VERSION: u32 = 1;
+pub const CODEGEN_VERSION: u32 = 2;
 
 /// Trap codes understood by the runtime's `trap` callback. Each maps to
 /// the panic message of the corresponding interpreter assertion.
@@ -105,6 +124,9 @@ pub struct EmittedModule {
     pub symbols: Vec<Option<String>>,
     /// `(proc name, reason)` for every uncovered procedure.
     pub skipped: Vec<(String, String)>,
+    /// Per-procedure count of `f64` log-table cells the procedure
+    /// expects at `augctx::S` (0 for uncovered procedures).
+    pub table_cells: Vec<usize>,
 }
 
 impl EmittedModule {
@@ -133,19 +155,22 @@ fn fmt_f64(v: f64) -> String {
 pub(crate) fn emit_module(table: &ProcTable, state: &State) -> EmittedModule {
     let mut symbols = Vec::new();
     let mut skipped = Vec::new();
+    let mut table_cells = Vec::new();
     let mut used_offs: BTreeSet<BufId> = BTreeSet::new();
     let mut fns = String::new();
     for (idx, p) in table.procs.iter().enumerate() {
         let em = ProcEmitter::new(state, &mut used_offs);
         match em.proc(p, idx) {
-            Ok(text) => {
+            Ok((text, cells)) => {
                 fns.push_str(&text);
                 fns.push('\n');
                 symbols.push(Some(format!("aug_p{idx}")));
+                table_cells.push(cells);
             }
             Err(reason) => {
                 skipped.push((p.name.clone(), reason));
                 symbols.push(None);
+                table_cells.push(0);
             }
         }
     }
@@ -176,7 +201,7 @@ pub(crate) fn emit_module(table: &ProcTable, state: &State) -> EmittedModule {
     }
     src.push_str("};\n");
     src.push_str(&format!("const uint32_t aug_abi_version = {CODEGEN_VERSION};\n"));
-    EmittedModule { source: src, symbols, skipped }
+    EmittedModule { source: src, symbols, skipped, table_cells }
 }
 
 fn preamble() -> String {
@@ -203,7 +228,15 @@ typedef struct {{
   void     (*par_exit)(augctx*);
   void     (*trap)(augctx*, int32_t, double, double);
 }} augvt;
-struct augctx {{ double** B; const augvt* vt; void* eng; uint64_t W; }};
+struct augctx {{ double** B; const augvt* vt; void* eng; uint64_t W; double* S; }};
+
+/* Every bounds/length check fails through here: the runtime's trap
+   unwinds back into Rust and never returns. */
+__attribute__((noreturn, cold, noinline))
+static void aug_trap(augctx* c, int32_t code, double a, double b) {{
+  c->vt->trap(c, code, a, b);
+  __builtin_unreachable();
+}}
 
 static inline augv av_num(double x) {{ augv v = {{0, 0, 0, 0, x}}; return v; }}
 static inline augv av_slice(int32_t b, int64_t s, int64_t l) {{ augv v = {{1, b, s, l, 0.0}}; return v; }}
@@ -262,6 +295,16 @@ static inline double aug_cat_ll(double k, const double* p, int64_t len) {{
   if (ku < (uint64_t)len && p[ku] > 0.0) return log(p[ku]);
   return -INFINITY;
 }}
+/* aug_cat_ll over a log table: lt[i] is aug_cat_ll(i, p, len). */
+static inline double aug_cat_ll_tab(double k, const double* lt, int64_t len) {{
+  if (k < 0.0) return -INFINITY;
+  uint64_t ku = (uint64_t)aug_idx(k);
+  if (ku < (uint64_t)len) return lt[ku];
+  return -INFINITY;
+}}
+static void aug_log_table(double* restrict lt, const double* restrict p, int64_t n) {{
+  for (int64_t i = 0; i < n; i++) lt[i] = p[i] > 0.0 ? log(p[i]) : -INFINITY;
+}}
 
 "#
     )
@@ -305,6 +348,33 @@ struct ProcEmitter<'a> {
     /// Buffers whose contents may be touched by a runtime callback in
     /// this procedure; these must not be `restrict`-qualified.
     escaped: BTreeSet<BufId>,
+    /// Buffers the procedure writes (see [`written_bufs`]).
+    written: BTreeSet<BufId>,
+    /// Read-only buffers with a log table: buffer → offset of its table
+    /// in the procedure's scratch.
+    tables: BTreeMap<BufId, usize>,
+    /// Scratch cells the tables take so far.
+    table_cells: usize,
+}
+
+/// Collects the buffers a statement writes: the destination of every
+/// `Assign`, `Sample` and `SampleLogits`. Runtime callbacks write only
+/// those destinations, so every other buffer is read-only for the whole
+/// procedure.
+fn written_bufs(s: &RStmt, out: &mut BTreeSet<BufId>) {
+    match s {
+        RStmt::Seq(stmts) => stmts.iter().for_each(|t| written_bufs(t, out)),
+        RStmt::Assign { lhs, .. } | RStmt::Sample { lhs, .. } | RStmt::SampleLogits { lhs, .. } => {
+            out.insert(lhs.buf);
+        }
+        RStmt::IfEq { then, els, .. } => {
+            written_bufs(then, out);
+            if let Some(e) = els {
+                written_bufs(e, out);
+            }
+        }
+        RStmt::Loop { body, .. } => written_bufs(body, out),
+    }
 }
 
 impl<'a> ProcEmitter<'a> {
@@ -319,6 +389,9 @@ impl<'a> ProcEmitter<'a> {
             in_par: false,
             used_bufs: BTreeSet::new(),
             escaped: BTreeSet::new(),
+            written: BTreeSet::new(),
+            tables: BTreeMap::new(),
+            table_cells: 0,
         }
     }
 
@@ -402,24 +475,41 @@ impl<'a> ProcEmitter<'a> {
         }
     }
 
-    /// `(pointer, len)` C expressions for `slice_of` on a static view.
-    fn slice_exprs(&mut self, cv: &CV) -> Option<(String, String)> {
+    /// `(buffer, start, len)` of a static view, the coordinates
+    /// `slice_of` resolves at runtime.
+    fn region(&self, cv: &CV) -> Option<(BufId, String, String)> {
         match cv {
-            CV::Vec { buf, start, len } => {
-                let b = self.buf_ref(*buf);
-                Some((format!("({b} + ({start}))"), len.clone()))
-            }
-            CV::Mat { buf, start, dim } => {
-                let b = self.buf_ref(*buf);
-                Some((format!("({b} + ({start}))"), (dim * dim).to_string()))
-            }
+            CV::Vec { buf, start, len } => Some((*buf, start.clone(), len.clone())),
+            CV::Mat { buf, start, dim } => Some((*buf, start.clone(), (dim * dim).to_string())),
             CV::RowsV { buf } => {
-                let b = self.buf_ref(*buf);
-                let total = self.state.shape(*buf).num_cells();
-                Some((b, total.to_string()))
+                Some((*buf, "0".into(), self.state.shape(*buf).num_cells().to_string()))
             }
             _ => None,
         }
+    }
+
+    /// `(pointer, len)` C expressions for `slice_of` on a static view.
+    fn slice_exprs(&mut self, cv: &CV) -> Option<(String, String)> {
+        let (buf, start, len) = self.region(cv)?;
+        let b = self.buf_ref(buf);
+        Some((format!("({b} + ({start}))"), len))
+    }
+
+    /// `(pointer, len)` into the log table of a static view's buffer,
+    /// when a table may stand in for it: the buffer is read-only in this
+    /// procedure and the lookup sits inside a loop, so the table is
+    /// filled once and read on many trips.
+    fn log_table_exprs(&mut self, cv: &CV) -> Option<(String, String)> {
+        let (buf, start, len) = self.region(cv)?;
+        if self.depth == 0 || self.written.contains(&buf) {
+            return None;
+        }
+        if !self.tables.contains_key(&buf) {
+            self.tables.insert(buf, self.table_cells);
+            self.table_cells += self.state.shape(buf).num_cells();
+            self.used_bufs.insert(buf);
+        }
+        Some((format!("(lt{buf} + ({start}))"), len))
     }
 
     fn num(&self, cv: CV, what: &str) -> Result<String, String> {
@@ -434,14 +524,33 @@ impl<'a> ProcEmitter<'a> {
     /// saturating `f64 as usize` cast.
     fn index_from(&mut self, num: &str, trap_code: i32) -> String {
         let t = self.tmp_d(num);
-        self.line(&format!("if (!({t} >= 0.0)) vt->trap(c, {trap_code}, {t}, 0.0);"));
+        self.check(&format!("{t} >= 0.0"), trap_code, &t, "0.0");
         self.tmp_i(&format!("aug_idx({t})"))
     }
 
+    /// Emits `if (!(ok)) aug_trap(c, code, a, b);` — the cold path of
+    /// every interpreter assertion.
+    fn check(&mut self, ok: &str, code: i32, a: &str, b: &str) {
+        self.line(&format!("if (!({ok})) aug_trap(c, {code}, {a}, {b});"));
+    }
+
     fn bounds_check(&mut self, k: &str, len: &str, code: i32) {
-        self.line(&format!(
-            "if (!((uint64_t){k} < (uint64_t)({len}))) vt->trap(c, {code}, (double)(uint64_t){k}, (double)({len}));"
-        ));
+        self.check(
+            &format!("(uint64_t){k} < (uint64_t)({len})"),
+            code,
+            &format!("(double)(uint64_t){k}"),
+            &format!("(double)({len})"),
+        );
+    }
+
+    /// `row_range`'s `assert!(i + 1 < offsets.len())`.
+    fn row_range_check(&mut self, k: &str, noff: usize) {
+        self.check(
+            &format!("(uint64_t)({k} + 1) < (uint64_t){noff}"),
+            trap::ROW_RANGE,
+            &format!("(double)(uint64_t){k}"),
+            "0.0",
+        );
     }
 
     /// Compiles an expression; static node charges accumulate into `w`,
@@ -495,11 +604,7 @@ impl<'a> ProcEmitter<'a> {
                         let elem = *elem;
                         self.used_offs.insert(buf);
                         self.used_bufs.insert(buf);
-                        // row_range: assert!(i + 1 < offsets.len())
-                        self.line(&format!(
-                            "if (!((uint64_t)({k} + 1) < (uint64_t){noff})) vt->trap(c, {}, (double)(uint64_t){k}, 0.0);",
-                            trap::ROW_RANGE
-                        ));
+                        self.row_range_check(&k, noff);
                         match elem {
                             RowElem::Vec => Ok(CV::Vec {
                                 buf,
@@ -600,10 +705,12 @@ impl<'a> ProcEmitter<'a> {
                 {
                     let ta = self.tmp_i(&la);
                     let tb = self.tmp_i(&lb);
-                    self.line(&format!(
-                        "if (!({ta} == {tb})) vt->trap(c, {}, (double){ta}, (double){tb});",
-                        trap::DOT_LEN
-                    ));
+                    self.check(
+                        &format!("{ta} == {tb}"),
+                        trap::DOT_LEN,
+                        &format!("(double){ta}"),
+                        &format!("(double){tb}"),
+                    );
                     self.line(&format!("W += (uint64_t){ta};"));
                     let acc = self.tmp_d("0.0");
                     let q = self.tmp_name("q");
@@ -657,7 +764,11 @@ impl<'a> ProcEmitter<'a> {
             },
             (DistKind::Categorical, CV::Num(x)) => {
                 let weights = avs[0].clone();
-                self.slice_exprs(&weights).map(|(p, l)| format!("aug_cat_ll({x}, {p}, {l})"))
+                if let Some((lt, l)) = self.log_table_exprs(&weights) {
+                    Some(format!("aug_cat_ll_tab({x}, {lt}, {l})"))
+                } else {
+                    self.slice_exprs(&weights).map(|(p, l)| format!("aug_cat_ll({x}, {p}, {l})"))
+                }
             }
             _ => None,
         };
@@ -817,10 +928,7 @@ impl<'a> ProcEmitter<'a> {
                         let noff = offsets.len();
                         self.used_offs.insert(buf);
                         self.used_bufs.insert(buf);
-                        self.line(&format!(
-                            "if (!((uint64_t)({k} + 1) < (uint64_t){noff})) vt->trap(c, {}, (double)(uint64_t){k}, 0.0);",
-                            trap::ROW_RANGE
-                        ));
+                        self.row_range_check(&k, noff);
                         CDest::Range {
                             buf,
                             start: format!("off{buf}[{k}]"),
@@ -894,10 +1002,12 @@ impl<'a> ProcEmitter<'a> {
                                 self.slice_exprs(&v).expect("static views are sliceable");
                             let ts = self.tmp_i(&ls);
                             let td = self.tmp_i(len);
-                            self.line(&format!(
-                                "if (!({ts} == {td})) vt->trap(c, {}, (double){ts}, (double){td});",
-                                trap::STORE_LEN
-                            ));
+                            self.check(
+                                &format!("{ts} == {td}"),
+                                trap::STORE_LEN,
+                                &format!("(double){ts}"),
+                                &format!("(double){td}"),
+                            );
                             self.line(&format!("W += (uint64_t){td};"));
                             let b = self.buf_ref(*buf);
                             let sym = if *op == AssignOp::Set { "=" } else { "+=" };
@@ -1034,8 +1144,10 @@ impl<'a> ProcEmitter<'a> {
         Ok(())
     }
 
-    /// Emits the full C function for one procedure.
-    fn proc(mut self, p: &crate::compile::RProc, idx: usize) -> Result<String, String> {
+    /// Emits the full C function for one procedure, with the number of
+    /// log-table scratch cells it reads from `augctx::S`.
+    fn proc(mut self, p: &RProc, idx: usize) -> Result<(String, usize), String> {
+        written_bufs(&p.body, &mut self.written);
         self.stmt(&p.body)?;
         let body = std::mem::take(&mut self.body);
         let mut f = String::new();
@@ -1051,10 +1163,105 @@ impl<'a> ProcEmitter<'a> {
                 f.push_str(&format!("  double* restrict b{b} = B[{b}];\n"));
             }
         }
+        for (&b, &off) in &self.tables {
+            let n = self.state.shape(b).num_cells();
+            f.push_str(&format!("  double* restrict lt{b} = c->S + {off};\n"));
+            f.push_str(&format!("  aug_log_table(lt{b}, b{b}, {n});\n"));
+        }
         f.push_str(&body);
         f.push_str("  c->W += W;\n");
         f.push_str("  (void)B; (void)vt;\n");
         f.push_str("}\n");
-        Ok(f)
+        Ok((f, self.table_cells))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A state with Categorical weights `p`, a Dirichlet concentration
+    /// `alpha`, observations `y`, and a scalar accumulator `acc`.
+    struct Fixture {
+        state: State,
+        p: BufId,
+        alpha: BufId,
+        y: BufId,
+        acc: BufId,
+    }
+
+    fn fixture() -> Fixture {
+        let mut state = State::new();
+        let p = state.insert("p", Shape::Vector(3));
+        let alpha = state.insert("alpha", Shape::Vector(3));
+        let y = state.insert("y", Shape::Vector(4));
+        let acc = state.insert("acc", Shape::Num);
+        Fixture { state, p, alpha, y, acc }
+    }
+
+    fn buf(id: BufId) -> RExpr {
+        RExpr::Ref(RRef::Buf(id))
+    }
+
+    /// `acc += Categorical(p).ll(y[i0])`.
+    fn add_cat_ll(f: &Fixture) -> RStmt {
+        let point = RExpr::Ref(RRef::Loop(0));
+        RStmt::Assign {
+            lhs: RLValue { buf: f.acc, indices: vec![] },
+            op: AssignOp::Inc,
+            rhs: RExpr::DistLl {
+                dist: DistKind::Categorical,
+                args: vec![buf(f.p)],
+                point: Box::new(RExpr::Index(Box::new(buf(f.y)), Box::new(point))),
+            },
+        }
+    }
+
+    /// `for i0 in 0..4 { body }`.
+    fn over_y(body: RStmt) -> RStmt {
+        RStmt::Loop {
+            kind: LoopKind::Seq,
+            lo: RExpr::Const(0.0),
+            hi: RExpr::Const(4.0),
+            body: Box::new(body),
+        }
+    }
+
+    fn emit(f: &Fixture, body: RStmt) -> (String, usize) {
+        let mut used_offs = BTreeSet::new();
+        let p = RProc { name: "probe".into(), body, ret: None };
+        ProcEmitter::new(&f.state, &mut used_offs).proc(&p, 0).expect("covered")
+    }
+
+    /// The write guard: the same in-loop density gets a table over
+    /// read-only weights, and keeps `aug_cat_ll` on the live buffer once
+    /// the procedure stores or samples into the weights — even after the
+    /// density, since a later trip reads the write.
+    #[test]
+    fn written_weights_keep_the_live_buffer() {
+        let f = fixture();
+        let density = || add_cat_ll(&f);
+        let (c, cells) = emit(&f, over_y(density()));
+        let p = f.p;
+        assert_eq!(cells, 3, "one table over p's three cells:\n{c}");
+        assert!(c.contains(&format!("aug_log_table(lt{p}, b{p}, 3);")), "{c}");
+        assert!(c.contains("aug_cat_ll_tab(") && !c.contains("aug_cat_ll("), "{c}");
+
+        let store = RStmt::Assign {
+            lhs: RLValue { buf: f.p, indices: vec![RExpr::Const(0.0)] },
+            op: AssignOp::Set,
+            rhs: RExpr::Const(0.5),
+        };
+        let sample = RStmt::Sample {
+            lhs: RLValue { buf: f.p, indices: vec![] },
+            dist: DistKind::Dirichlet,
+            args: vec![buf(f.alpha)],
+        };
+        for write in [store, sample] {
+            let (c, cells) = emit(&f, over_y(RStmt::Seq(vec![density(), write.clone()])));
+            assert_eq!(cells, 0, "{write:?} writes the weights:\n{c}");
+            assert!(c.contains("aug_cat_ll("), "{c}");
+            assert!(!c.contains("aug_log_table(") && !c.contains("aug_cat_ll_tab("), "{c}");
+        }
     }
 }

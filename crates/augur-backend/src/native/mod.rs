@@ -13,7 +13,15 @@
 //! * this module — the ABI types ([`AugV`], `AugCtx`, the callback
 //!   vtable), the runtime callbacks (each a thin wrapper over the same
 //!   engine method the tree-walker uses, so semantics and work
-//!   accounting agree by construction), and [`NativeModule`].
+//!   accounting agree by construction), [`NativeModule`], and the
+//!   engine-owned [`Scratch`].
+//!
+//! ABI (version [`CODEGEN_VERSION`]): a procedure receives an `augctx`
+//! holding the buffer pointer table `B`, the callback vtable, the engine,
+//! the work counter `W`, and `S`, the log-table scratch its read-only
+//! Categorical weights are tabulated into (see [`emit`]). Both `B` and
+//! `S` live in the engine's [`Scratch`], sized once when the session
+//! binds the module, so a native call allocates nothing.
 //!
 //! Native procedures run on the calling thread, like every other lane.
 //! `Par` loops rotate the per-iteration RNG streams via the
@@ -21,10 +29,11 @@
 //! interpreter's launch bookkeeping, so native draws match the tape's
 //! exactly.
 //!
-//! Panic behavior: bounds violations trap back into Rust and raise the
-//! interpreter's exact panic messages; the artifact is compiled with
-//! `-fexceptions` so the unwind crosses the C frames back to the
-//! driver's `catch_unwind`. Work units accumulated C-side in the
+//! Panic behavior: bounds violations call the C-side `aug_trap`, a
+//! `noreturn`, cold wrapper over the `trap` callback, which raises the
+//! interpreter's exact panic message and never returns; the artifact is
+//! compiled with `-fexceptions` so the unwind crosses the C frames back
+//! to the driver's `catch_unwind`. Work units accumulated C-side in the
 //! aborted procedure are lost, and RNG draws that the interpreter would
 //! have made before a store-bounds panic may not have happened — both
 //! only observable on sweeps that are already being poisoned.
@@ -76,6 +85,7 @@ pub struct AugCtx {
     vt: *const VTable,
     eng: *mut c_void,
     w: u64,
+    scratch: *mut f64,
 }
 
 /// A native procedure entry point.
@@ -97,7 +107,7 @@ struct VTable {
     par_enter: unsafe extern "C-unwind" fn(*mut AugCtx) -> u64,
     par_iter: unsafe extern "C-unwind" fn(*mut AugCtx, u64, i64),
     par_exit: unsafe extern "C-unwind" fn(*mut AugCtx),
-    trap: unsafe extern "C-unwind" fn(*mut AugCtx, i32, f64, f64),
+    trap: unsafe extern "C-unwind" fn(*mut AugCtx, i32, f64, f64) -> !,
 }
 
 static VTABLE: VTable = VTable {
@@ -128,6 +138,9 @@ pub struct NativeModule {
     compile_secs: f64,
     artifact_path: PathBuf,
     disk_hit: bool,
+    /// Log-table cells the hungriest procedure needs (procedures run one
+    /// at a time, so they share one scratch).
+    scratch_cells: usize,
 }
 
 impl std::fmt::Debug for NativeModule {
@@ -176,6 +189,37 @@ impl NativeModule {
     pub fn disk_hit(&self) -> bool {
         self.disk_hit
     }
+
+    /// Number of `f64` log-table cells a [`Scratch`] must hold to run
+    /// any procedure of this module.
+    pub fn scratch_cells(&self) -> usize {
+        self.scratch_cells
+    }
+}
+
+/// Engine-owned memory a native call hands to C: the buffer pointer
+/// table (`augctx::B`) and the log-table scratch (`augctx::S`). Sized
+/// once per session, so steady-state native calls allocate nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    bufs: Vec<*mut f64>,
+    tables: Vec<f64>,
+}
+
+// The pointers are rewritten from the engine's own state at the start of
+// every native call and never dereferenced outside it, so moving the
+// engine (and this scratch) to another thread between calls is sound.
+unsafe impl Send for Scratch {}
+
+impl Scratch {
+    /// Scratch for running `module` over a state of `num_buffers`
+    /// buffers.
+    pub(crate) fn new(num_buffers: usize, module: &NativeModule) -> Scratch {
+        Scratch {
+            bufs: Vec::with_capacity(num_buffers),
+            tables: vec![0.0; module.scratch_cells()],
+        }
+    }
 }
 
 /// Emits, compiles, and loads the native module for a specialized plan.
@@ -205,6 +249,7 @@ pub(crate) fn build_native(
     // null-pointer-optimized, so the reinterpretation is exact.
     let procs: Vec<Option<ProcFn>> =
         unsafe { std::slice::from_raw_parts(sym as *const Option<ProcFn>, n) }.to_vec();
+    let scratch_cells = emitted.table_cells.iter().copied().max().unwrap_or(0);
     Ok(NativeModule {
         procs,
         _lib: lib,
@@ -213,28 +258,34 @@ pub(crate) fn build_native(
         compile_secs: artifact.compile_secs,
         artifact_path: artifact.path,
         disk_hit: artifact.disk_hit,
+        scratch_cells,
     })
 }
 
 /// Runs one covered procedure through its native entry point.
 ///
-/// The caller has verified `module.covers(idx)`.
+/// The caller has verified `module.covers(idx)` and sized
+/// `eng.native_scratch` for `module` with [`Scratch::new`].
 pub(crate) fn run_native_proc(eng: &mut Engine, module: &Arc<NativeModule>, idx: usize) {
-    // Unshare every buffer up front: after this, callback `flat_mut`
-    // calls find uniquely-owned storage and never reallocate, so the
-    // pointer table stays valid for the whole call.
-    let n = eng.state.num_buffers();
-    let mut bufs: Vec<*mut f64> = Vec::with_capacity(n);
-    for id in 0..n {
-        bufs.push(eng.state.flat_mut(id).as_mut_ptr());
-    }
-    eng.native_own.clear();
     let f = module.procs[idx].expect("caller checked covers()");
+    let (bufs, tables) = {
+        let Engine { state, native_scratch: scratch, .. } = &mut *eng;
+        assert!(scratch.tables.len() >= module.scratch_cells, "native scratch not sized for module");
+        // Unshare every buffer up front: after this, callback `flat_mut`
+        // calls find uniquely-owned storage and never reallocate, so the
+        // pointer table stays valid for the whole call. The table keeps
+        // its capacity across calls, so refilling it does not allocate.
+        scratch.bufs.clear();
+        scratch.bufs.extend((0..state.num_buffers()).map(|id| state.flat_mut(id).as_mut_ptr()));
+        (scratch.bufs.as_mut_ptr(), scratch.tables.as_mut_ptr())
+    };
+    eng.native_own.clear();
     let mut ctx = AugCtx {
-        bufs: bufs.as_mut_ptr(),
+        bufs,
         vt: &VTABLE,
         eng: eng as *mut Engine as *mut c_void,
         w: 0,
+        scratch: tables,
     };
     // Safety: the context outlives the call; the engine pointer is valid
     // for its duration and only dereferenced from callbacks on this
@@ -487,7 +538,7 @@ unsafe extern "C-unwind" fn rt_par_exit(c: *mut AugCtx) {
     eng.in_parallel = false;
 }
 
-unsafe extern "C-unwind" fn rt_trap(c: *mut AugCtx, code: i32, a: f64, b: f64) {
+unsafe extern "C-unwind" fn rt_trap(c: *mut AugCtx, code: i32, a: f64, b: f64) -> ! {
     let _ = c;
     match code {
         emit::trap::NEG_INDEX => panic!("negative index {a}"),

@@ -33,7 +33,12 @@
 //! Emits `BENCH_sweep.json` into the working directory and a readable
 //! table to `results/sweep_throughput.md`.
 //!
-//! `--scale X` scales workload sizes (default 1.0).
+//! `--scale X` scales workload sizes (default 1.0). `--before FILE`
+//! names a `BENCH_sweep.json` written by an earlier build's run of this
+//! binary on the same host; each model's native rate from it is then
+//! recorded next to this run's (`native_before_sweeps_per_s` in the
+//! JSON, a before/after table in the markdown), which is how an emitter
+//! change records the speed it bought.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -385,11 +390,37 @@ fn hlr(scale: f64) -> Measurement {
     measure("hlr", 40, "theta", &build, cold_ms, hit_ms, native_ok, native_compile_ms)
 }
 
+/// `native_sweeps_per_s` of `model` in a `BENCH_sweep.json` written by
+/// this binary (one model object per line).
+fn native_rate_in(json: &str, model: &str) -> Option<f64> {
+    let entry = &json[json.find(&format!("\"{model}\": {{"))?..];
+    let key = "\"native_sweeps_per_s\": ";
+    let rest = &entry[entry.find(key)? + key.len()..];
+    rest[..rest.find(',')?].trim().parse().ok()
+}
+
 fn main() {
     let scale = scale_arg(1.0);
+    let args: Vec<String> = std::env::args().collect();
+    let before: Option<String> = args
+        .iter()
+        .position(|a| a == "--before")
+        .and_then(|i| args.get(i + 1))
+        .map(|path| {
+            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("--before {path}: {e}"))
+        });
     let host_cores =
         std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     let results = [lda(scale), hgmm(scale), hlr(scale)];
+    let before_rates: Option<Vec<f64>> = before.map(|prev| {
+        results
+            .iter()
+            .map(|m| {
+                native_rate_in(&prev, m.model)
+                    .unwrap_or_else(|| panic!("--before file has no native rate for {}", m.model))
+            })
+            .collect()
+    });
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"host_cores\": {host_cores},");
@@ -421,7 +452,7 @@ fn main() {
         );
         let _ = writeln!(
             json,
-            "  \"{}\": {{\"sweeps\": {}, \"tree_sweeps_per_s\": {:.4}, \"tape_sweeps_per_s\": {:.4}, \"speedup\": {:.4}, \"native_sweeps_per_s\": {:.4}, \"native_speedup\": {:.4}, \"native_compile_ms\": {:.4}, \"native_ok\": {}, \"tape_untimed_sweeps_per_s\": {:.4}, \"metrics_overhead\": {:.4}, \"profile_overhead\": {:.4}, \"cold_compile_ms\": {:.4}, \"plan_cache_hit_compile_ms\": {:.4}, \"cached_speedup\": {:.2}, \"allocs_per_sweep\": {:.2}, \"check\": {:e}}}{}",
+            "  \"{}\": {{\"sweeps\": {}, \"tree_sweeps_per_s\": {:.4}, \"tape_sweeps_per_s\": {:.4}, \"speedup\": {:.4}, \"native_sweeps_per_s\": {:.4}, \"native_speedup\": {:.4}, \"native_compile_ms\": {:.4}, \"native_ok\": {}, \"tape_untimed_sweeps_per_s\": {:.4}, \"metrics_overhead\": {:.4}, \"profile_overhead\": {:.4}, \"cold_compile_ms\": {:.4}, \"plan_cache_hit_compile_ms\": {:.4}, \"cached_speedup\": {:.2}, \"allocs_per_sweep\": {:.2}, \"check\": {:e}{}}}{}",
             m.model,
             m.sweeps,
             m.tree_sweeps_per_s,
@@ -439,6 +470,10 @@ fn main() {
             m.cached_speedup(),
             m.allocs_per_sweep,
             m.check,
+            before_rates
+                .as_ref()
+                .map(|b| format!(", \"native_before_sweeps_per_s\": {:.4}", b[i]))
+                .unwrap_or_default(),
             if i + 1 < results.len() { "," } else { "" }
         );
     }
@@ -463,6 +498,25 @@ fn main() {
          `allocs/sweep` counts heap allocations per steady-state sweep\n\
          (tape, instrumentation off)."
     );
+    if let Some(rates) = &before_rates {
+        let _ = writeln!(
+            table,
+            "\n## Native lane before/after\n\n\
+             `before` is the native lane of an earlier build, measured by its own\n\
+             run of this binary on the same host just before this one.\n\n\
+             | model | native before (sweeps/s) | native after (sweeps/s) | after / before |\n\
+             |---|---|---|---|"
+        );
+        for (m, b) in results.iter().zip(rates) {
+            let _ = writeln!(
+                table,
+                "| {} | {b:.2} | {:.2} | {:.2}x |",
+                m.model,
+                m.native_sweeps_per_s,
+                m.native_sweeps_per_s / b
+            );
+        }
+    }
     // The native lane only asserts where it actually compiled; a host
     // without a C toolchain still verified bit-identity via the tape
     // fallback inside `measure`.

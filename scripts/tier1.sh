@@ -23,15 +23,21 @@ cargo test -q --test alloc_free
 
 # Native-backend smoke: the emit-C-and-dlopen lane must stay bit-exact
 # against tree and tape (draws, report digest, profile digest), the
-# emitted LDA C must match its golden, and a host without a toolchain
-# (AUGUR_CC pointed at a nonexistent binary) must fall back to the tape
-# with a recorded reason instead of failing. The fallback lane isolates
+# emitted LDA C must match its golden, the emitter's log-table guard
+# (hand-built procedures in native::emit's unit tests) must hold, and a
+# host without a toolchain (AUGUR_CC pointed at a nonexistent binary)
+# must fall back to the tape with a recorded reason instead of failing. The fallback lane isolates
 # TMPDIR: a disk-cached artifact deliberately makes Native selectable
-# without a compiler, which would mask the path under test.
+# without a compiler, which would mask the path under test. A Native
+# session that fell back to the tape must still allocate nothing in
+# steady state (tests/alloc_free.rs).
 cargo test -q --test native_differential
+cargo test -q -p augur-backend --lib native::emit
 native_tmp="$(mktemp -d)"
 TMPDIR="$native_tmp" AUGUR_CC=/nonexistent/cc \
   cargo test -q --test native_differential
+TMPDIR="$native_tmp" AUGUR_CC=/nonexistent/cc \
+  cargo test -q --test alloc_free
 rm -rf "$native_tmp"
 
 # Serving smoke: the service path must stay byte-identical to direct

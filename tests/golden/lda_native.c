@@ -1,4 +1,4 @@
-/* Generated by augur-backend native codegen v1. Do not edit. */
+/* Generated by augur-backend native codegen v2. Do not edit. */
 #include <stdint.h>
 #include <stddef.h>
 #include <math.h>
@@ -20,7 +20,15 @@ typedef struct {
   void     (*par_exit)(augctx*);
   void     (*trap)(augctx*, int32_t, double, double);
 } augvt;
-struct augctx { double** B; const augvt* vt; void* eng; uint64_t W; };
+struct augctx { double** B; const augvt* vt; void* eng; uint64_t W; double* S; };
+
+/* Every bounds/length check fails through here: the runtime's trap
+   unwinds back into Rust and never returns. */
+__attribute__((noreturn, cold, noinline))
+static void aug_trap(augctx* c, int32_t code, double a, double b) {
+  c->vt->trap(c, code, a, b);
+  __builtin_unreachable();
+}
 
 static inline augv av_num(double x) { augv v = {0, 0, 0, 0, x}; return v; }
 static inline augv av_slice(int32_t b, int64_t s, int64_t l) { augv v = {1, b, s, l, 0.0}; return v; }
@@ -79,6 +87,16 @@ static inline double aug_cat_ll(double k, const double* p, int64_t len) {
   if (ku < (uint64_t)len && p[ku] > 0.0) return log(p[ku]);
   return -INFINITY;
 }
+/* aug_cat_ll over a log table: lt[i] is aug_cat_ll(i, p, len). */
+static inline double aug_cat_ll_tab(double k, const double* lt, int64_t len) {
+  if (k < 0.0) return -INFINITY;
+  uint64_t ku = (uint64_t)aug_idx(k);
+  if (ku < (uint64_t)len) return lt[ku];
+  return -INFINITY;
+}
+static void aug_log_table(double* restrict lt, const double* restrict p, int64_t n) {
+  for (int64_t i = 0; i < n; i++) lt[i] = p[i] > 0.0 ? log(p[i]) : -INFINITY;
+}
 
 static const int64_t off5[11] = {0, 25, 47, 66, 91, 115, 138, 155, 172, 196, 213};
 static const int64_t off6[11] = {0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30};
@@ -108,28 +126,28 @@ static void aug_p0(augctx* c) {
   for (int64_t i0 = k2; i0 < k3; i0++) {
     int64_t k4 = aug_i64(0e0);
     double t5 = (double)i0;
-    if (!(t5 >= 0.0)) vt->trap(c, 0, t5, 0.0);
+    if (!(t5 >= 0.0)) aug_trap(c, 0, t5, 0.0);
     int64_t k6 = aug_idx(t5);
-    if (!((uint64_t)k6 < (uint64_t)(10))) vt->trap(c, 1, (double)(uint64_t)k6, (double)(10));
+    if (!((uint64_t)k6 < (uint64_t)(10))) aug_trap(c, 1, (double)(uint64_t)k6, (double)(10));
     int64_t k7 = aug_i64(b4[(0) + k6]);
     W += 5;
     for (int64_t i1 = k4; i1 < k7; i1++) {
       double t8 = (double)i0;
-      if (!(t8 >= 0.0)) vt->trap(c, 6, t8, 0.0);
+      if (!(t8 >= 0.0)) aug_trap(c, 6, t8, 0.0);
       int64_t k9 = aug_idx(t8);
-      if (!((uint64_t)(k9 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k9, 0.0);
+      if (!((uint64_t)(k9 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k9, 0.0);
       double t10 = (double)i1;
-      if (!(t10 >= 0.0)) vt->trap(c, 0, t10, 0.0);
+      if (!(t10 >= 0.0)) aug_trap(c, 0, t10, 0.0);
       int64_t k11 = aug_idx(t10);
       double t12 = (double)i0;
-      if (!(t12 >= 0.0)) vt->trap(c, 0, t12, 0.0);
+      if (!(t12 >= 0.0)) aug_trap(c, 0, t12, 0.0);
       int64_t k13 = aug_idx(t12);
-      if (!((uint64_t)(k13 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k13, 0.0);
-      if (!((uint64_t)k11 < (uint64_t)((off8[k13 + 1] - off8[k13])))) vt->trap(c, 1, (double)(uint64_t)k11, (double)((off8[k13 + 1] - off8[k13])));
+      if (!((uint64_t)(k13 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k13, 0.0);
+      if (!((uint64_t)k11 < (uint64_t)((off8[k13 + 1] - off8[k13])))) aug_trap(c, 1, (double)(uint64_t)k11, (double)((off8[k13 + 1] - off8[k13])));
       double t14 = b8[(off8[k13]) + k11];
-      if (!(t14 >= 0.0)) vt->trap(c, 6, t14, 0.0);
+      if (!(t14 >= 0.0)) aug_trap(c, 6, t14, 0.0);
       int64_t k15 = aug_idx(t14);
-      if (!((uint64_t)k15 < (uint64_t)((off9[k9 + 1] - off9[k9])))) vt->trap(c, 7, (double)(uint64_t)k15, (double)((off9[k9 + 1] - off9[k9])));
+      if (!((uint64_t)k15 < (uint64_t)((off9[k9 + 1] - off9[k9])))) aug_trap(c, 7, (double)(uint64_t)k15, (double)((off9[k9 + 1] - off9[k9])));
       double t16 = 1e0;
       b9[((off9[k9]) + k15)] += t16;
       W += 10;
@@ -143,14 +161,14 @@ static void aug_p0(augctx* c) {
     for (int64_t i0 = k17; i0 < k18; i0++) {
       vt->par_iter(c, L19, i0);
       double t20 = (double)i0;
-      if (!(t20 >= 0.0)) vt->trap(c, 0, t20, 0.0);
+      if (!(t20 >= 0.0)) aug_trap(c, 0, t20, 0.0);
       int64_t k21 = aug_idx(t20);
-      if (!((uint64_t)(k21 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k21, 0.0);
+      if (!((uint64_t)(k21 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k21, 0.0);
       augv v22 = vt->op(c, 0, 2, av_slice(2, 0, 3), av_slice(9, off9[k21], (off9[k21 + 1] - off9[k21])));
       double t23 = (double)i0;
-      if (!(t23 >= 0.0)) vt->trap(c, 6, t23, 0.0);
+      if (!(t23 >= 0.0)) aug_trap(c, 6, t23, 0.0);
       int64_t k24 = aug_idx(t23);
-      if (!((uint64_t)(k24 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k24, 0.0);
+      if (!((uint64_t)(k24 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k24, 0.0);
       augv a25[2];
       a25[0] = v22;
       a25[1] = av_num(0.0);
@@ -186,36 +204,36 @@ static void aug_p1(augctx* c) {
   for (int64_t i0 = k2; i0 < k3; i0++) {
     int64_t k4 = aug_i64(0e0);
     double t5 = (double)i0;
-    if (!(t5 >= 0.0)) vt->trap(c, 0, t5, 0.0);
+    if (!(t5 >= 0.0)) aug_trap(c, 0, t5, 0.0);
     int64_t k6 = aug_idx(t5);
-    if (!((uint64_t)k6 < (uint64_t)(10))) vt->trap(c, 1, (double)(uint64_t)k6, (double)(10));
+    if (!((uint64_t)k6 < (uint64_t)(10))) aug_trap(c, 1, (double)(uint64_t)k6, (double)(10));
     int64_t k7 = aug_i64(b4[(0) + k6]);
     W += 5;
     for (int64_t i1 = k4; i1 < k7; i1++) {
       double t8 = (double)i1;
-      if (!(t8 >= 0.0)) vt->trap(c, 0, t8, 0.0);
+      if (!(t8 >= 0.0)) aug_trap(c, 0, t8, 0.0);
       int64_t k9 = aug_idx(t8);
       double t10 = (double)i0;
-      if (!(t10 >= 0.0)) vt->trap(c, 0, t10, 0.0);
+      if (!(t10 >= 0.0)) aug_trap(c, 0, t10, 0.0);
       int64_t k11 = aug_idx(t10);
-      if (!((uint64_t)(k11 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k11, 0.0);
-      if (!((uint64_t)k9 < (uint64_t)((off8[k11 + 1] - off8[k11])))) vt->trap(c, 1, (double)(uint64_t)k9, (double)((off8[k11 + 1] - off8[k11])));
+      if (!((uint64_t)(k11 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k11, 0.0);
+      if (!((uint64_t)k9 < (uint64_t)((off8[k11 + 1] - off8[k11])))) aug_trap(c, 1, (double)(uint64_t)k9, (double)((off8[k11 + 1] - off8[k11])));
       double t12 = b8[(off8[k11]) + k9];
-      if (!(t12 >= 0.0)) vt->trap(c, 6, t12, 0.0);
+      if (!(t12 >= 0.0)) aug_trap(c, 6, t12, 0.0);
       int64_t k13 = aug_idx(t12);
-      if (!((uint64_t)(k13 + 1) < (uint64_t)4)) vt->trap(c, 5, (double)(uint64_t)k13, 0.0);
+      if (!((uint64_t)(k13 + 1) < (uint64_t)4)) aug_trap(c, 5, (double)(uint64_t)k13, 0.0);
       double t14 = (double)i1;
-      if (!(t14 >= 0.0)) vt->trap(c, 0, t14, 0.0);
+      if (!(t14 >= 0.0)) aug_trap(c, 0, t14, 0.0);
       int64_t k15 = aug_idx(t14);
       double t16 = (double)i0;
-      if (!(t16 >= 0.0)) vt->trap(c, 0, t16, 0.0);
+      if (!(t16 >= 0.0)) aug_trap(c, 0, t16, 0.0);
       int64_t k17 = aug_idx(t16);
-      if (!((uint64_t)(k17 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k17, 0.0);
-      if (!((uint64_t)k15 < (uint64_t)((off5[k17 + 1] - off5[k17])))) vt->trap(c, 1, (double)(uint64_t)k15, (double)((off5[k17 + 1] - off5[k17])));
+      if (!((uint64_t)(k17 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k17, 0.0);
+      if (!((uint64_t)k15 < (uint64_t)((off5[k17 + 1] - off5[k17])))) aug_trap(c, 1, (double)(uint64_t)k15, (double)((off5[k17 + 1] - off5[k17])));
       double t18 = b5[(off5[k17]) + k15];
-      if (!(t18 >= 0.0)) vt->trap(c, 6, t18, 0.0);
+      if (!(t18 >= 0.0)) aug_trap(c, 6, t18, 0.0);
       int64_t k19 = aug_idx(t18);
-      if (!((uint64_t)k19 < (uint64_t)((off10[k13 + 1] - off10[k13])))) vt->trap(c, 7, (double)(uint64_t)k19, (double)((off10[k13 + 1] - off10[k13])));
+      if (!((uint64_t)k19 < (uint64_t)((off10[k13 + 1] - off10[k13])))) aug_trap(c, 7, (double)(uint64_t)k19, (double)((off10[k13 + 1] - off10[k13])));
       double t20 = 1e0;
       b10[((off10[k13]) + k19)] += t20;
       W += 16;
@@ -229,14 +247,14 @@ static void aug_p1(augctx* c) {
     for (int64_t i0 = k21; i0 < k22; i0++) {
       vt->par_iter(c, L23, i0);
       double t24 = (double)i0;
-      if (!(t24 >= 0.0)) vt->trap(c, 0, t24, 0.0);
+      if (!(t24 >= 0.0)) aug_trap(c, 0, t24, 0.0);
       int64_t k25 = aug_idx(t24);
-      if (!((uint64_t)(k25 + 1) < (uint64_t)4)) vt->trap(c, 5, (double)(uint64_t)k25, 0.0);
+      if (!((uint64_t)(k25 + 1) < (uint64_t)4)) aug_trap(c, 5, (double)(uint64_t)k25, 0.0);
       augv v26 = vt->op(c, 0, 2, av_slice(3, 0, 60), av_slice(10, off10[k25], (off10[k25 + 1] - off10[k25])));
       double t27 = (double)i0;
-      if (!(t27 >= 0.0)) vt->trap(c, 6, t27, 0.0);
+      if (!(t27 >= 0.0)) aug_trap(c, 6, t27, 0.0);
       int64_t k28 = aug_idx(t27);
-      if (!((uint64_t)(k28 + 1) < (uint64_t)4)) vt->trap(c, 5, (double)(uint64_t)k28, 0.0);
+      if (!((uint64_t)(k28 + 1) < (uint64_t)4)) aug_trap(c, 5, (double)(uint64_t)k28, 0.0);
       augv a29[2];
       a29[0] = v26;
       a29[1] = av_num(0.0);
@@ -261,6 +279,10 @@ static void aug_p2(augctx* c) {
   double* restrict b7 = B[7];
   double* b8 = B[8];
   double* b11 = B[11];
+  double* restrict lt6 = c->S + 0;
+  aug_log_table(lt6, b6, 30);
+  double* restrict lt7 = c->S + 30;
+  aug_log_table(lt7, b7, 180);
   int64_t k0 = aug_i64(0e0);
   int64_t k1 = aug_i64(b1[0]);
   W += 2;
@@ -270,68 +292,68 @@ static void aug_p2(augctx* c) {
       vt->par_iter(c, L2, i0);
       int64_t k3 = aug_i64(0e0);
       double t4 = (double)i0;
-      if (!(t4 >= 0.0)) vt->trap(c, 0, t4, 0.0);
+      if (!(t4 >= 0.0)) aug_trap(c, 0, t4, 0.0);
       int64_t k5 = aug_idx(t4);
-      if (!((uint64_t)k5 < (uint64_t)(10))) vt->trap(c, 1, (double)(uint64_t)k5, (double)(10));
+      if (!((uint64_t)k5 < (uint64_t)(10))) aug_trap(c, 1, (double)(uint64_t)k5, (double)(10));
       int64_t k6 = aug_i64(b4[(0) + k5]);
       W += 5;
       for (int64_t i1 = k3; i1 < k6; i1++) {
         int64_t k7 = aug_i64(0e0);
         double t8 = (double)i0;
-        if (!(t8 >= 0.0)) vt->trap(c, 0, t8, 0.0);
+        if (!(t8 >= 0.0)) aug_trap(c, 0, t8, 0.0);
         int64_t k9 = aug_idx(t8);
-        if (!((uint64_t)(k9 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k9, 0.0);
+        if (!((uint64_t)(k9 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k9, 0.0);
         int64_t k10 = aug_i64((double)((off6[k9 + 1] - off6[k9])));
         W += 6;
         for (int64_t i2 = k7; i2 < k10; i2++) {
           double t11 = (double)i2;
-          if (!(t11 >= 0.0)) vt->trap(c, 6, t11, 0.0);
+          if (!(t11 >= 0.0)) aug_trap(c, 6, t11, 0.0);
           int64_t k12 = aug_idx(t11);
-          if (!((uint64_t)k12 < (uint64_t)(3))) vt->trap(c, 7, (double)(uint64_t)k12, (double)(3));
+          if (!((uint64_t)k12 < (uint64_t)(3))) aug_trap(c, 7, (double)(uint64_t)k12, (double)(3));
           double t13 = 0e0;
           b11[((0) + k12)] = t13;
           W += 3;
           double t14 = (double)i0;
-          if (!(t14 >= 0.0)) vt->trap(c, 0, t14, 0.0);
+          if (!(t14 >= 0.0)) aug_trap(c, 0, t14, 0.0);
           int64_t k15 = aug_idx(t14);
-          if (!((uint64_t)(k15 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k15, 0.0);
-          double t16 = aug_cat_ll((double)i2, (b6 + (off6[k15])), (off6[k15 + 1] - off6[k15]));
+          if (!((uint64_t)(k15 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k15, 0.0);
+          double t16 = aug_cat_ll_tab((double)i2, (lt6 + (off6[k15])), (off6[k15 + 1] - off6[k15]));
           double t17 = (double)i2;
-          if (!(t17 >= 0.0)) vt->trap(c, 6, t17, 0.0);
+          if (!(t17 >= 0.0)) aug_trap(c, 6, t17, 0.0);
           int64_t k18 = aug_idx(t17);
-          if (!((uint64_t)k18 < (uint64_t)(3))) vt->trap(c, 7, (double)(uint64_t)k18, (double)(3));
+          if (!((uint64_t)k18 < (uint64_t)(3))) aug_trap(c, 7, (double)(uint64_t)k18, (double)(3));
           double t19 = t16;
           b11[((0) + k18)] += t19;
           W += 12;
           double t20 = (double)i2;
-          if (!(t20 >= 0.0)) vt->trap(c, 0, t20, 0.0);
+          if (!(t20 >= 0.0)) aug_trap(c, 0, t20, 0.0);
           int64_t k21 = aug_idx(t20);
-          if (!((uint64_t)(k21 + 1) < (uint64_t)4)) vt->trap(c, 5, (double)(uint64_t)k21, 0.0);
+          if (!((uint64_t)(k21 + 1) < (uint64_t)4)) aug_trap(c, 5, (double)(uint64_t)k21, 0.0);
           double t22 = (double)i1;
-          if (!(t22 >= 0.0)) vt->trap(c, 0, t22, 0.0);
+          if (!(t22 >= 0.0)) aug_trap(c, 0, t22, 0.0);
           int64_t k23 = aug_idx(t22);
           double t24 = (double)i0;
-          if (!(t24 >= 0.0)) vt->trap(c, 0, t24, 0.0);
+          if (!(t24 >= 0.0)) aug_trap(c, 0, t24, 0.0);
           int64_t k25 = aug_idx(t24);
-          if (!((uint64_t)(k25 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k25, 0.0);
-          if (!((uint64_t)k23 < (uint64_t)((off5[k25 + 1] - off5[k25])))) vt->trap(c, 1, (double)(uint64_t)k23, (double)((off5[k25 + 1] - off5[k25])));
-          double t26 = aug_cat_ll(b5[(off5[k25]) + k23], (b7 + (off7[k21])), (off7[k21 + 1] - off7[k21]));
+          if (!((uint64_t)(k25 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k25, 0.0);
+          if (!((uint64_t)k23 < (uint64_t)((off5[k25 + 1] - off5[k25])))) aug_trap(c, 1, (double)(uint64_t)k23, (double)((off5[k25 + 1] - off5[k25])));
+          double t26 = aug_cat_ll_tab(b5[(off5[k25]) + k23], (lt7 + (off7[k21])), (off7[k21 + 1] - off7[k21]));
           double t27 = (double)i2;
-          if (!(t27 >= 0.0)) vt->trap(c, 6, t27, 0.0);
+          if (!(t27 >= 0.0)) aug_trap(c, 6, t27, 0.0);
           int64_t k28 = aug_idx(t27);
-          if (!((uint64_t)k28 < (uint64_t)(3))) vt->trap(c, 7, (double)(uint64_t)k28, (double)(3));
+          if (!((uint64_t)k28 < (uint64_t)(3))) aug_trap(c, 7, (double)(uint64_t)k28, (double)(3));
           double t29 = t26;
           b11[((0) + k28)] += t29;
           W += 18;
         }
         double t30 = (double)i0;
-        if (!(t30 >= 0.0)) vt->trap(c, 6, t30, 0.0);
+        if (!(t30 >= 0.0)) aug_trap(c, 6, t30, 0.0);
         int64_t k31 = aug_idx(t30);
-        if (!((uint64_t)(k31 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k31, 0.0);
+        if (!((uint64_t)(k31 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k31, 0.0);
         double t32 = (double)i1;
-        if (!(t32 >= 0.0)) vt->trap(c, 6, t32, 0.0);
+        if (!(t32 >= 0.0)) aug_trap(c, 6, t32, 0.0);
         int64_t k33 = aug_idx(t32);
-        if (!((uint64_t)k33 < (uint64_t)((off8[k31 + 1] - off8[k31])))) vt->trap(c, 7, (double)(uint64_t)k33, (double)((off8[k31 + 1] - off8[k31])));
+        if (!((uint64_t)k33 < (uint64_t)((off8[k31 + 1] - off8[k31])))) aug_trap(c, 7, (double)(uint64_t)k33, (double)((off8[k31 + 1] - off8[k31])));
         W += 7;
         vt->sample_logits(c, av_slice(11, 0, 3), 8, ((off8[k31]) + k33));
       }
@@ -363,9 +385,9 @@ static void aug_p3(augctx* c) {
     for (int64_t i0 = k0; i0 < k1; i0++) {
       vt->par_iter(c, L2, i0);
       double t3 = (double)i0;
-      if (!(t3 >= 0.0)) vt->trap(c, 6, t3, 0.0);
+      if (!(t3 >= 0.0)) aug_trap(c, 6, t3, 0.0);
       int64_t k4 = aug_idx(t3);
-      if (!((uint64_t)(k4 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k4, 0.0);
+      if (!((uint64_t)(k4 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k4, 0.0);
       augv a5[2];
       a5[0] = av_slice(2, 0, 3);
       a5[1] = av_num(0.0);
@@ -382,9 +404,9 @@ static void aug_p3(augctx* c) {
     for (int64_t i0 = k6; i0 < k7; i0++) {
       vt->par_iter(c, L8, i0);
       double t9 = (double)i0;
-      if (!(t9 >= 0.0)) vt->trap(c, 6, t9, 0.0);
+      if (!(t9 >= 0.0)) aug_trap(c, 6, t9, 0.0);
       int64_t k10 = aug_idx(t9);
-      if (!((uint64_t)(k10 + 1) < (uint64_t)4)) vt->trap(c, 5, (double)(uint64_t)k10, 0.0);
+      if (!((uint64_t)(k10 + 1) < (uint64_t)4)) aug_trap(c, 5, (double)(uint64_t)k10, 0.0);
       augv a11[2];
       a11[0] = av_slice(3, 0, 60);
       a11[1] = av_num(0.0);
@@ -402,24 +424,24 @@ static void aug_p3(augctx* c) {
       vt->par_iter(c, L14, i0);
       int64_t k15 = aug_i64(0e0);
       double t16 = (double)i0;
-      if (!(t16 >= 0.0)) vt->trap(c, 0, t16, 0.0);
+      if (!(t16 >= 0.0)) aug_trap(c, 0, t16, 0.0);
       int64_t k17 = aug_idx(t16);
-      if (!((uint64_t)k17 < (uint64_t)(10))) vt->trap(c, 1, (double)(uint64_t)k17, (double)(10));
+      if (!((uint64_t)k17 < (uint64_t)(10))) aug_trap(c, 1, (double)(uint64_t)k17, (double)(10));
       int64_t k18 = aug_i64(b4[(0) + k17]);
       W += 5;
       for (int64_t i1 = k15; i1 < k18; i1++) {
         double t19 = (double)i0;
-        if (!(t19 >= 0.0)) vt->trap(c, 0, t19, 0.0);
+        if (!(t19 >= 0.0)) aug_trap(c, 0, t19, 0.0);
         int64_t k20 = aug_idx(t19);
-        if (!((uint64_t)(k20 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k20, 0.0);
+        if (!((uint64_t)(k20 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k20, 0.0);
         double t21 = (double)i0;
-        if (!(t21 >= 0.0)) vt->trap(c, 6, t21, 0.0);
+        if (!(t21 >= 0.0)) aug_trap(c, 6, t21, 0.0);
         int64_t k22 = aug_idx(t21);
-        if (!((uint64_t)(k22 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k22, 0.0);
+        if (!((uint64_t)(k22 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k22, 0.0);
         double t23 = (double)i1;
-        if (!(t23 >= 0.0)) vt->trap(c, 6, t23, 0.0);
+        if (!(t23 >= 0.0)) aug_trap(c, 6, t23, 0.0);
         int64_t k24 = aug_idx(t23);
-        if (!((uint64_t)k24 < (uint64_t)((off8[k22 + 1] - off8[k22])))) vt->trap(c, 7, (double)(uint64_t)k24, (double)((off8[k22 + 1] - off8[k22])));
+        if (!((uint64_t)k24 < (uint64_t)((off8[k22 + 1] - off8[k22])))) aug_trap(c, 7, (double)(uint64_t)k24, (double)((off8[k22 + 1] - off8[k22])));
         augv a25[2];
         a25[0] = av_slice(6, off6[k20], (off6[k20 + 1] - off6[k20]));
         a25[1] = av_num(0.0);
@@ -448,6 +470,10 @@ static void aug_p4(augctx* c) {
   double* b7 = B[7];
   double* restrict b8 = B[8];
   double* restrict b12 = B[12];
+  double* restrict lt6 = c->S + 0;
+  aug_log_table(lt6, b6, 30);
+  double* restrict lt7 = c->S + 30;
+  aug_log_table(lt7, b7, 180);
   double t0 = 0e0;
   b12[0] = t0;
   W += 2;
@@ -456,9 +482,9 @@ static void aug_p4(augctx* c) {
   W += 2;
   for (int64_t i0 = k1; i0 < k2; i0++) {
     double t3 = (double)i0;
-    if (!(t3 >= 0.0)) vt->trap(c, 0, t3, 0.0);
+    if (!(t3 >= 0.0)) aug_trap(c, 0, t3, 0.0);
     int64_t k4 = aug_idx(t3);
-    if (!((uint64_t)(k4 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k4, 0.0);
+    if (!((uint64_t)(k4 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k4, 0.0);
     augv a5[2];
     a5[0] = av_slice(2, 0, 3);
     a5[1] = av_num(0.0);
@@ -472,9 +498,9 @@ static void aug_p4(augctx* c) {
   W += 2;
   for (int64_t i0 = k8; i0 < k9; i0++) {
     double t10 = (double)i0;
-    if (!(t10 >= 0.0)) vt->trap(c, 0, t10, 0.0);
+    if (!(t10 >= 0.0)) aug_trap(c, 0, t10, 0.0);
     int64_t k11 = aug_idx(t10);
-    if (!((uint64_t)(k11 + 1) < (uint64_t)4)) vt->trap(c, 5, (double)(uint64_t)k11, 0.0);
+    if (!((uint64_t)(k11 + 1) < (uint64_t)4)) aug_trap(c, 5, (double)(uint64_t)k11, 0.0);
     augv a12[2];
     a12[0] = av_slice(3, 0, 60);
     a12[1] = av_num(0.0);
@@ -489,25 +515,25 @@ static void aug_p4(augctx* c) {
   for (int64_t i0 = k15; i0 < k16; i0++) {
     int64_t k17 = aug_i64(0e0);
     double t18 = (double)i0;
-    if (!(t18 >= 0.0)) vt->trap(c, 0, t18, 0.0);
+    if (!(t18 >= 0.0)) aug_trap(c, 0, t18, 0.0);
     int64_t k19 = aug_idx(t18);
-    if (!((uint64_t)k19 < (uint64_t)(10))) vt->trap(c, 1, (double)(uint64_t)k19, (double)(10));
+    if (!((uint64_t)k19 < (uint64_t)(10))) aug_trap(c, 1, (double)(uint64_t)k19, (double)(10));
     int64_t k20 = aug_i64(b4[(0) + k19]);
     W += 5;
     for (int64_t i1 = k17; i1 < k20; i1++) {
       double t21 = (double)i0;
-      if (!(t21 >= 0.0)) vt->trap(c, 0, t21, 0.0);
+      if (!(t21 >= 0.0)) aug_trap(c, 0, t21, 0.0);
       int64_t k22 = aug_idx(t21);
-      if (!((uint64_t)(k22 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k22, 0.0);
+      if (!((uint64_t)(k22 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k22, 0.0);
       double t23 = (double)i1;
-      if (!(t23 >= 0.0)) vt->trap(c, 0, t23, 0.0);
+      if (!(t23 >= 0.0)) aug_trap(c, 0, t23, 0.0);
       int64_t k24 = aug_idx(t23);
       double t25 = (double)i0;
-      if (!(t25 >= 0.0)) vt->trap(c, 0, t25, 0.0);
+      if (!(t25 >= 0.0)) aug_trap(c, 0, t25, 0.0);
       int64_t k26 = aug_idx(t25);
-      if (!((uint64_t)(k26 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k26, 0.0);
-      if (!((uint64_t)k24 < (uint64_t)((off8[k26 + 1] - off8[k26])))) vt->trap(c, 1, (double)(uint64_t)k24, (double)((off8[k26 + 1] - off8[k26])));
-      double t27 = aug_cat_ll(b8[(off8[k26]) + k24], (b6 + (off6[k22])), (off6[k22 + 1] - off6[k22]));
+      if (!((uint64_t)(k26 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k26, 0.0);
+      if (!((uint64_t)k24 < (uint64_t)((off8[k26 + 1] - off8[k26])))) aug_trap(c, 1, (double)(uint64_t)k24, (double)((off8[k26 + 1] - off8[k26])));
+      double t27 = aug_cat_ll_tab(b8[(off8[k26]) + k24], (lt6 + (off6[k22])), (off6[k22 + 1] - off6[k22]));
       double t28 = t27;
       b12[0] += t28;
       W += 17;
@@ -519,33 +545,33 @@ static void aug_p4(augctx* c) {
   for (int64_t i0 = k29; i0 < k30; i0++) {
     int64_t k31 = aug_i64(0e0);
     double t32 = (double)i0;
-    if (!(t32 >= 0.0)) vt->trap(c, 0, t32, 0.0);
+    if (!(t32 >= 0.0)) aug_trap(c, 0, t32, 0.0);
     int64_t k33 = aug_idx(t32);
-    if (!((uint64_t)k33 < (uint64_t)(10))) vt->trap(c, 1, (double)(uint64_t)k33, (double)(10));
+    if (!((uint64_t)k33 < (uint64_t)(10))) aug_trap(c, 1, (double)(uint64_t)k33, (double)(10));
     int64_t k34 = aug_i64(b4[(0) + k33]);
     W += 5;
     for (int64_t i1 = k31; i1 < k34; i1++) {
       double t35 = (double)i1;
-      if (!(t35 >= 0.0)) vt->trap(c, 0, t35, 0.0);
+      if (!(t35 >= 0.0)) aug_trap(c, 0, t35, 0.0);
       int64_t k36 = aug_idx(t35);
       double t37 = (double)i0;
-      if (!(t37 >= 0.0)) vt->trap(c, 0, t37, 0.0);
+      if (!(t37 >= 0.0)) aug_trap(c, 0, t37, 0.0);
       int64_t k38 = aug_idx(t37);
-      if (!((uint64_t)(k38 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k38, 0.0);
-      if (!((uint64_t)k36 < (uint64_t)((off8[k38 + 1] - off8[k38])))) vt->trap(c, 1, (double)(uint64_t)k36, (double)((off8[k38 + 1] - off8[k38])));
+      if (!((uint64_t)(k38 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k38, 0.0);
+      if (!((uint64_t)k36 < (uint64_t)((off8[k38 + 1] - off8[k38])))) aug_trap(c, 1, (double)(uint64_t)k36, (double)((off8[k38 + 1] - off8[k38])));
       double t39 = b8[(off8[k38]) + k36];
-      if (!(t39 >= 0.0)) vt->trap(c, 0, t39, 0.0);
+      if (!(t39 >= 0.0)) aug_trap(c, 0, t39, 0.0);
       int64_t k40 = aug_idx(t39);
-      if (!((uint64_t)(k40 + 1) < (uint64_t)4)) vt->trap(c, 5, (double)(uint64_t)k40, 0.0);
+      if (!((uint64_t)(k40 + 1) < (uint64_t)4)) aug_trap(c, 5, (double)(uint64_t)k40, 0.0);
       double t41 = (double)i1;
-      if (!(t41 >= 0.0)) vt->trap(c, 0, t41, 0.0);
+      if (!(t41 >= 0.0)) aug_trap(c, 0, t41, 0.0);
       int64_t k42 = aug_idx(t41);
       double t43 = (double)i0;
-      if (!(t43 >= 0.0)) vt->trap(c, 0, t43, 0.0);
+      if (!(t43 >= 0.0)) aug_trap(c, 0, t43, 0.0);
       int64_t k44 = aug_idx(t43);
-      if (!((uint64_t)(k44 + 1) < (uint64_t)11)) vt->trap(c, 5, (double)(uint64_t)k44, 0.0);
-      if (!((uint64_t)k42 < (uint64_t)((off5[k44 + 1] - off5[k44])))) vt->trap(c, 1, (double)(uint64_t)k42, (double)((off5[k44 + 1] - off5[k44])));
-      double t45 = aug_cat_ll(b5[(off5[k44]) + k42], (b7 + (off7[k40])), (off7[k40 + 1] - off7[k40]));
+      if (!((uint64_t)(k44 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k44, 0.0);
+      if (!((uint64_t)k42 < (uint64_t)((off5[k44 + 1] - off5[k44])))) aug_trap(c, 1, (double)(uint64_t)k42, (double)((off5[k44 + 1] - off5[k44])));
+      double t45 = aug_cat_ll_tab(b5[(off5[k44]) + k42], (lt7 + (off7[k40])), (off7[k40 + 1] - off7[k40]));
       double t46 = t45;
       b12[0] += t46;
       W += 23;
@@ -563,4 +589,4 @@ augproc aug_procs[5] = {
   aug_p3, /* init_params */
   aug_p4, /* model_ll */
 };
-const uint32_t aug_abi_version = 1;
+const uint32_t aug_abi_version = 2;

@@ -15,6 +15,7 @@
 
 use augur::codegen::{CodegenTarget, SymbolKind};
 use augur::prelude::*;
+use augur_backend::RunError;
 use augur_math::Matrix;
 use augurv2::{models, workloads};
 
@@ -288,4 +289,90 @@ fn golden_native_c_for_lda() {
         "emitted C changed; if intentional, rerun with UPDATE_GOLDEN=1, review the diff, \
          and bump CODEGEN_VERSION if the ABI or semantics moved"
     );
+}
+
+/// The body of procedure `name` in an emitted translation unit.
+fn proc_source<'a>(unit: &'a str, name: &str) -> &'a str {
+    let head = format!(": {name} */");
+    let start = unit.find(&head).unwrap_or_else(|| panic!("no procedure {name}"));
+    let rest = &unit[start..];
+    let end = rest[1..].find("/* proc ").map(|e| e + 1).unwrap_or(rest.len());
+    &rest[..end]
+}
+
+/// Log tables replace per-trip `log` calls only where they are exact
+/// and pay off (pure emission — no toolchain needed): the LDA z-update
+/// reads both theta and phi through tables, while a Categorical density
+/// outside any loop reads the live buffer. (The write guard — a
+/// procedure that stores or samples into the weights keeps
+/// `aug_cat_ll` — is pinned on hand-built procedures in the emitter's
+/// unit tests; no benchmark model has such a procedure.)
+#[test]
+fn log_tables_cover_read_only_weights_in_loops() {
+    let topics = 3;
+    let corpus = workloads::lda_corpus(topics, 10, 60, 20, 5);
+    let lda = Model::compile(models::LDA)
+        .unwrap()
+        .plan(lda_args(topics, &corpus), vec![("w", HostValue::RaggedI(corpus.docs.clone()))])
+        .unwrap()
+        .emit(CodegenTarget::C)
+        .unwrap()
+        .source;
+    let z = proc_source(&lda, "u2_gibbs");
+    assert_eq!(z.matches("aug_log_table(").count(), 2, "theta and phi tables:\n{z}");
+    assert_eq!(z.matches("aug_cat_ll_tab(").count(), 2, "{z}");
+    assert!(!z.contains("aug_cat_ll("), "no live-buffer lookup left:\n{z}");
+
+    let single = Model::compile(
+        "(K, alpha) => { param p ~ Dirichlet(alpha) ; data y ~ Categorical(p) ; }",
+    )
+    .unwrap()
+    .plan(
+        vec![HostValue::Int(3), HostValue::VecF(vec![1.0; 3])],
+        vec![("y", HostValue::Real(1.0))],
+    )
+    .unwrap()
+    .emit(CodegenTarget::C)
+    .unwrap()
+    .source;
+    let ll = proc_source(&single, "model_ll");
+    assert!(ll.contains("aug_cat_ll("), "{ll}");
+    assert!(!ll.contains("aug_log_table(") && !ll.contains("aug_cat_ll_tab("), "{ll}");
+}
+
+/// A native bounds trap (now a `noreturn` C path) still surfaces as the
+/// tape's typed error: same kernel label, same message. Document 2's
+/// length is raised past its token row, so the phi update reads one
+/// token past the row's end.
+#[test]
+fn native_bounds_trap_matches_the_tape_error() {
+    let topics = 3;
+    let mut corpus = workloads::lda_corpus(topics, 6, 40, 10, 5);
+    corpus.lens[2] += 3;
+    let plan = Model::compile(models::LDA)
+        .unwrap()
+        .plan(lda_args(topics, &corpus), vec![("w", HostValue::RaggedI(corpus.docs.clone()))])
+        .unwrap();
+    let first_error = |backend: ExecBackend| {
+        let mut s = plan.session(config(backend)).unwrap();
+        s.init().unwrap();
+        let err = s.try_sweep().expect_err("the raised length must trap");
+        (err, s.backend(), s.backend_fallback().map(str::to_owned))
+    };
+    let (tape, _, _) = first_error(ExecBackend::Tape);
+    assert_eq!(
+        tape,
+        RunError::OutOfBounds {
+            kernel: "Gibbs Single(phi)".into(),
+            detail: "index 8 out of bounds for slice of 8".into(),
+        }
+    );
+    if !native_available() {
+        eprintln!("trap parity: no C toolchain, skipping the native side");
+        return;
+    }
+    let (native, backend, fallback) = first_error(ExecBackend::Native);
+    assert_eq!(backend, ExecBackend::Native, "native session fell back: {fallback:?}");
+    assert_eq!(fallback, None);
+    assert_eq!(native, tape);
 }

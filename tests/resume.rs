@@ -140,19 +140,19 @@ fn kill_resume_is_invisible(
 }
 
 #[test]
-fn hgmm_kill_resume_tree_and_tape_all_thread_counts() {
+fn hgmm_kill_resume_tree_and_tape() {
     kill_resume_is_invisible("hgmm_tree", hgmm_sampler, ExecBackend::Tree);
     kill_resume_is_invisible("hgmm_tape", hgmm_sampler, ExecBackend::Tape);
 }
 
 #[test]
-fn lda_kill_resume_tree_and_tape_all_thread_counts() {
+fn lda_kill_resume_tree_and_tape() {
     kill_resume_is_invisible("lda_tree", lda_sampler, ExecBackend::Tree);
     kill_resume_is_invisible("lda_tape", lda_sampler, ExecBackend::Tape);
 }
 
 #[test]
-fn hlr_kill_resume_tree_and_tape_all_thread_counts() {
+fn hlr_kill_resume_tree_and_tape() {
     kill_resume_is_invisible("hlr_tree", hlr_sampler, ExecBackend::Tree);
     kill_resume_is_invisible("hlr_tape", hlr_sampler, ExecBackend::Tape);
 }

@@ -204,7 +204,7 @@ fn report_digest(
 /// strategies, for all three benchmark
 /// models: the same contract the traces obey, extended to observability.
 #[test]
-fn run_reports_are_identical_across_strategies_and_threads() {
+fn run_reports_are_identical_across_strategies() {
     type Case = (
         &'static str,
         &'static str,
@@ -309,7 +309,7 @@ fn profile_digest(
 /// deliberately outside the digest (the tree interpreter retires no tape
 /// instructions), so this pins exactly the deterministic half.
 #[test]
-fn profile_digests_are_identical_across_strategies_and_threads() {
+fn profile_digests_are_identical_across_strategies() {
     type Case = (
         &'static str,
         &'static str,
