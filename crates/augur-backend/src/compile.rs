@@ -3,8 +3,10 @@
 //! This step plays the role of the paper's Cuda/C emission + `nvcc`/`clang`
 //! compile: names become buffer ids, loop variables become environment
 //! slots, and the result is a compact tree the engine executes without any
-//! name lookups. A C-like rendering of the same program is available from
-//! `augur_low::il::pretty_proc` for inspection.
+//! name lookups. Blk-IL procedures (GPU target) go one step further: each
+//! resolved block body is taped immediately, so the blk tapes are their
+//! only executable form. A C-like rendering of the same program is
+//! available from `augur_low::il::pretty_proc` for inspection.
 
 use std::collections::HashMap;
 
@@ -14,6 +16,7 @@ use augur_lang::ast::{BinOp, Builtin};
 use augur_low::il::{AssignOp, Cond, Expr, LValue, LoopKind, ProcDecl, Stmt};
 
 use crate::state::{BufId, State};
+use crate::tape::{TBlk, TBlkProc, Tape, TapeProc};
 
 /// A resolved reference: a state buffer or an enclosing loop variable
 /// (indexed by nesting depth from the outside).
@@ -149,58 +152,6 @@ pub struct RProc {
     pub ret: Option<RExpr>,
 }
 
-/// A resolved Blk-IL block (GPU target).
-#[derive(Debug, Clone, PartialEq)]
-pub enum RBlk {
-    /// Host-sequential code.
-    Seq(RStmt),
-    /// A kernel of `hi − lo` threads; the thread index is the next
-    /// environment slot.
-    Par {
-        /// Annotation.
-        kind: LoopKind,
-        /// Lower bound.
-        lo: RExpr,
-        /// Upper bound.
-        hi: RExpr,
-        /// Per-thread body.
-        body: RStmt,
-        /// Extra per-thread parallel width exposed by inlining.
-        inner_par: Option<RExpr>,
-    },
-    /// Sequentially launched inner blocks.
-    Loop {
-        /// Lower bound.
-        lo: RExpr,
-        /// Upper bound.
-        hi: RExpr,
-        /// Inner blocks.
-        body: Vec<RBlk>,
-    },
-    /// Map-reduce.
-    Sum {
-        /// Accumulation target (read as the initial value).
-        acc: RLValue,
-        /// Lower bound.
-        lo: RExpr,
-        /// Upper bound.
-        hi: RExpr,
-        /// Element expression.
-        rhs: RExpr,
-    },
-}
-
-/// A resolved block procedure.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RBlkProc {
-    /// Name.
-    pub name: String,
-    /// Blocks.
-    pub blocks: Vec<RBlk>,
-    /// Optional scalar result.
-    pub ret: Option<RExpr>,
-}
-
 /// Compilation context: the lexical stack of loop variables.
 #[derive(Debug)]
 pub struct Compiler<'a> {
@@ -229,26 +180,29 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Compiles a Blk-IL procedure (GPU target).
-    pub fn blk_proc(&mut self, p: &BlkProc) -> RBlkProc {
-        RBlkProc {
+    /// Compiles a Blk-IL procedure (GPU target): every block body is
+    /// slot-resolved and handed straight to the tape emitter, while
+    /// host-side control (bounds, widths, the result) stays resolved
+    /// expressions.
+    pub fn blk_proc(&mut self, p: &BlkProc) -> TBlkProc {
+        TBlkProc {
             name: p.name.clone(),
             blocks: p.blocks.iter().map(|b| self.blk(b)).collect(),
             ret: p.ret.as_ref().map(|e| self.expr(e)),
         }
     }
 
-    fn blk(&mut self, b: &Blk) -> RBlk {
+    fn blk(&mut self, b: &Blk) -> TBlk {
         match b {
-            Blk::SeqBlk(s) => RBlk::Seq(self.stmt(s)),
+            Blk::SeqBlk(s) => TBlk::Seq(Tape::of_stmt(&self.stmt(s), self.state)),
             Blk::ParBlk { kind, var, lo, hi, body, inner_par } => {
                 let lo = self.expr(lo);
                 let hi = self.expr(hi);
                 let inner_par = inner_par.as_ref().map(|e| self.expr(e));
                 self.loops.push(var.clone());
-                let body = self.stmt(body);
+                let body = Tape::of_stmt(&self.stmt(body), self.state);
                 self.loops.pop();
-                RBlk::Par { kind: *kind, lo, hi, body, inner_par }
+                TBlk::Par { kind: *kind, lo, hi, body, inner_par }
             }
             Blk::LoopBlk { var, lo, hi, body } => {
                 let lo = self.expr(lo);
@@ -256,16 +210,16 @@ impl<'a> Compiler<'a> {
                 self.loops.push(var.clone());
                 let body = body.iter().map(|b| self.blk(b)).collect();
                 self.loops.pop();
-                RBlk::Loop { lo, hi, body }
+                TBlk::Loop { lo, hi, body }
             }
             Blk::SumBlk { acc, var, lo, hi, rhs } => {
                 let acc = self.lvalue(acc);
                 let lo = self.expr(lo);
                 let hi = self.expr(hi);
                 self.loops.push(var.clone());
-                let rhs = self.expr(rhs);
+                let rhs = Tape::of_expr(&self.expr(rhs), self.state);
                 self.loops.pop();
-                RBlk::Sum { acc, lo, hi, rhs }
+                TBlk::Sum { acc, lo, hi, rhs }
             }
         }
     }
@@ -358,20 +312,19 @@ impl<'a> Compiler<'a> {
 }
 
 /// Named procedure registry built once per compiled model. Each
-/// procedure is stored in both interpretable (tree) and tape-compiled
-/// form, for both targets; the engine picks a representation from its
+/// procedure is stored in resolved (tree) and tape-compiled form for
+/// the CPU target, and as blk tapes for the GPU target; the engine picks
+/// a representation from its target and
 /// [`ExecBackend`](crate::tape::ExecBackend).
 #[derive(Debug, Default)]
 pub struct ProcTable {
     names: HashMap<String, usize>,
     /// CPU form of each procedure.
     pub procs: Vec<RProc>,
-    /// GPU (Blk) form, same indices.
-    pub blk_procs: Vec<RBlkProc>,
     /// Tape-compiled CPU form, same indices.
-    pub tapes: Vec<crate::tape::TapeProc>,
-    /// Tape-compiled GPU form, same indices.
-    pub blk_tapes: Vec<crate::tape::TBlkProc>,
+    pub tapes: Vec<TapeProc>,
+    /// Tape-compiled GPU (Blk) form, same indices.
+    pub blk_tapes: Vec<TBlkProc>,
     /// Buffers statically referenced by each procedure (sorted,
     /// deduplicated), same indices — the reachable-memory side of the
     /// profiler's watermark.
@@ -379,17 +332,17 @@ pub struct ProcTable {
 }
 
 impl ProcTable {
-    /// Registers a compiled procedure pair, tape-compiling both forms.
-    /// The state supplies buffer shapes so the tape compiler can bank
-    /// registers and fuse loads statically.
-    pub fn insert(&mut self, cpu: RProc, gpu: RBlkProc, state: &State) {
+    /// Registers a compiled procedure: its resolved CPU form (taped
+    /// here) and its blk tapes from [`Compiler::blk_proc`]. The state
+    /// supplies buffer shapes so the tape compiler can bank registers and
+    /// fuse loads statically.
+    pub fn insert(&mut self, cpu: RProc, gpu: TBlkProc, state: &State) {
         let idx = self.procs.len();
         self.names.insert(cpu.name.clone(), idx);
-        self.tapes.push(crate::tape::TapeProc::compile(&cpu, state));
-        self.blk_tapes.push(crate::tape::TBlkProc::compile(&gpu, state));
+        self.tapes.push(TapeProc::compile(&cpu, state));
+        self.blk_tapes.push(gpu);
         self.buf_refs.push(proc_buf_refs(&cpu));
         self.procs.push(cpu);
-        self.blk_procs.push(gpu);
     }
 
     /// Index of a procedure by name.

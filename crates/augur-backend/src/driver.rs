@@ -49,13 +49,16 @@ pub struct SessionConfig {
     pub mcmc: McmcConfig,
     /// Blk-IL optimization toggles (GPU target only).
     pub opt_flags: OptFlags,
-    /// How compiled procedures execute: a flat instruction tape (the
-    /// default), the reference tree-walking interpreter, or emitted C
-    /// compiled with the host toolchain ([`ExecBackend::Native`]).
-    /// Traces are bit-identical across backends; `Tree` is kept as the
-    /// differential testing oracle and for debugging via `Tape::disasm`.
-    /// The default honors the `AUGUR_BACKEND` environment variable
-    /// (`tree` / `tape` / `native`) when set.
+    /// How compiled procedures execute on `Target::Cpu`: a flat
+    /// instruction tape (the default), the reference tree-walking
+    /// interpreter, or emitted C compiled with the host toolchain
+    /// ([`ExecBackend::Native`]). Traces are bit-identical across
+    /// backends; `Tree` is kept as the differential testing oracle. On
+    /// `Target::Gpu` every backend runs the blk tapes (the one Blk
+    /// executor), so draws, virtual time and device counters do not
+    /// depend on this field there. The default honors the
+    /// `AUGUR_BACKEND` environment variable (`tree` / `tape` / `native`)
+    /// when set.
     pub backend: ExecBackend,
     /// Opt-in JSONL event sink: when set, the sampler streams one record
     /// per sweep (per-kernel counter deltas) to this path. The default
@@ -612,7 +615,7 @@ impl Session {
             // unwind can leave interpreter scratch dirty; reset it so the
             // sampler object (not the chain state) stays usable
             self.engine.env.truncate(env_depth);
-            self.engine.in_parallel = false;
+            self.engine.par_abort();
             let detail = panic_message(payload);
             let kernel =
                 self.labels.get(self.current_step).cloned().unwrap_or_default();
@@ -1341,7 +1344,9 @@ mod tests {
         assert!((hi - 5.0).abs() < 1.0, "hi cluster at {hi}");
     }
 
-    /// CPU and GPU targets produce identical chains for the same seed.
+    /// CPU and GPU targets produce identical chains for the same seed,
+    /// and the GPU target has one Blk executor: every backend runs the
+    /// blk tapes, so the GPU virtual clock and counters match too.
     #[test]
     fn cpu_and_gpu_targets_agree_exactly() {
         let src = "(N, tau2, s2) => {
@@ -1349,29 +1354,37 @@ mod tests {
             data y[n] ~ Normal(m, s2) for n <- 0 until N ;
         }";
         let data = vec![1.0, 0.5, -0.5, 0.2];
-        let build = |target| {
-            Session::build(
+        let build = |target, backend| {
+            let mut s = Session::build(
                 src,
                 None,
                 vec![HostValue::Int(4), HostValue::Real(4.0), HostValue::Real(1.0)],
                 vec![("y", HostValue::VecF(data.clone()))],
-                SessionConfig { target, ..Default::default() },
+                SessionConfig { target, backend, ..Default::default() },
             )
-            .unwrap()
+            .unwrap();
+            s.init().unwrap();
+            s
         };
-        let mut cpu = build(Target::Cpu);
-        let mut gpu = build(Target::Gpu(DeviceConfig::titan_black_like()));
-        cpu.init().unwrap();
-        gpu.init().unwrap();
+        let mut cpu = build(Target::Cpu, default_backend());
+        let mut gpus = [ExecBackend::Tape, ExecBackend::Tree, ExecBackend::Native]
+            .map(|b| build(Target::Gpu(DeviceConfig::titan_black_like()), b));
         for _ in 0..50 {
             cpu.sweep();
-            gpu.sweep();
-            assert_eq!(cpu.param("m").unwrap()[0].to_bits(), gpu.param("m").unwrap()[0].to_bits());
+            for gpu in &mut gpus {
+                gpu.sweep();
+                let m = |s: &Session| s.param("m").unwrap()[0].to_bits();
+                assert_eq!(m(&cpu), m(gpu));
+            }
         }
         // but their virtual clocks differ (launch overhead vs sequential)
-        assert!(gpu.virtual_secs() > 0.0 && cpu.virtual_secs() > 0.0);
-        assert!(gpu.device_counters().launches > 0);
+        assert!(gpus[0].virtual_secs() > 0.0 && cpu.virtual_secs() > 0.0);
+        assert!(gpus[0].device_counters().launches > 0);
         assert_eq!(cpu.device_counters().launches, 0);
+        for gpu in &gpus[1..] {
+            assert_eq!(gpu.virtual_secs().to_bits(), gpus[0].virtual_secs().to_bits());
+            assert_eq!(gpu.device_counters(), gpus[0].device_counters());
+        }
     }
 
     #[test]

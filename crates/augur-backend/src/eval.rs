@@ -1,12 +1,16 @@
-//! The execution engine: a fast tree-walking interpreter over the
-//! slot-resolved IL, with CPU and simulated-GPU targets.
+//! The execution engine and its tree-walking interpreter over the
+//! slot-resolved IL.
 //!
-//! Both targets run the *same* resolved statements, so results agree
-//! exactly for a fixed RNG seed; they differ in how virtual time is
-//! charged. The CPU target charges sequential work; the GPU target runs
-//! Blk-IL blocks, charging one kernel launch per `parBlk`, throughput-
-//! limited compute, atomic-contention serialization for `AtmPar`
-//! increments, and tree reductions for `sumBlk`s (see `gpu-sim`).
+//! [`Engine`] owns the state, the RNG and the simulated device, plus the
+//! per-operation helpers every executor shares, including the `Par`-loop
+//! RNG-stream policy ([`Engine::par_enter`]). On the CPU target a
+//! procedure runs on this tree-walker (the reference oracle), the tape
+//! VM (the default) or emitted C. The GPU target has one Blk executor,
+//! the blk tapes, under every [`ExecBackend`]: it charges one kernel
+//! launch per `parBlk`, throughput-limited compute, atomic-contention
+//! serialization for `AtmPar` increments, and tree reductions for
+//! `sumBlk`s (see `gpu-sim`). All executors draw bit-identically for a
+//! fixed seed; they differ only in how virtual time is charged.
 
 use augur_dist::{DistKind, Prng, ValueMut, ValueRef};
 use augur_lang::ast::{BinOp, Builtin};
@@ -14,7 +18,7 @@ use augur_low::il::{AssignOp, LoopKind, OpN};
 use augur_math::{Cholesky, Matrix, PoolVec};
 use gpu_sim::Device;
 
-use crate::compile::{ProcTable, RBlk, RExpr, RLValue, RRef, RStmt};
+use crate::compile::{ProcTable, RExpr, RLValue, RRef, RStmt};
 use crate::state::{BufId, RowElem, Shape, State};
 use crate::tape::ExecBackend;
 
@@ -113,20 +117,20 @@ pub struct Engine {
     /// Slot stack for owned temporaries created by native-code callbacks
     /// (handles passed back to C instead of raw pointers).
     pub(crate) native_own: Vec<View>,
-    /// Master RNG saved across a native parallel region (the native
-    /// analogue of the tree-walker's stack-local `master` clone).
-    pub(crate) native_master_rng: Option<Prng>,
     pub(crate) env: Vec<i64>,
     pub(crate) work: u64,
     pub(crate) atomics: Vec<u64>,
     pub(crate) record_atomics: bool,
     /// Seed from which per-thread streams are derived.
     pub(crate) master_seed: u64,
-    /// Kernel-launch ordinal — the per-thread stream key.
+    /// Kernel-launch ordinal — the per-thread stream key. Only the
+    /// `par_*` methods (and checkpoints) touch it.
     pub(crate) launch_counter: u64,
-    /// True while executing inside a parallel region (nested loops then
-    /// run on the enclosing thread's stream).
-    pub(crate) in_parallel: bool,
+    /// The master RNG saved while a parallel region runs on per-thread
+    /// streams; `Some` exactly while inside one (nested `Par` loops then
+    /// run on the enclosing thread's stream). Only the `par_*` methods
+    /// touch it.
+    par_master: Option<Prng>,
     /// Reusable scalar register bank for the tape VM.
     pub(crate) tape_fregs: Vec<f64>,
     /// Reusable view register bank for the tape VM.
@@ -171,14 +175,13 @@ impl Engine {
             native: None,
             native_scratch: Default::default(),
             native_own: Vec::new(),
-            native_master_rng: None,
             env: Vec::new(),
             work: 0,
             atomics: Vec::new(),
             record_atomics: false,
             master_seed,
             launch_counter: 0,
-            in_parallel: false,
+            par_master: None,
             tape_fregs: Vec::new(),
             tape_vregs: Vec::new(),
             tape_frames: Vec::new(),
@@ -194,7 +197,7 @@ impl Engine {
     /// sampling loop are independent of thread execution order, so the
     /// sequential emulation produces exactly what a truly parallel device
     /// would.
-    pub(crate) fn thread_rng(&self, launch: u64, t: i64) -> Prng {
+    fn thread_rng(&self, launch: u64, t: i64) -> Prng {
         // splitmix64-style mixing of (master, launch, thread)
         let mut z = self
             .master_seed
@@ -203,6 +206,49 @@ impl Engine {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         Prng::seed_from_u64(z ^ (z >> 31))
+    }
+
+    /// Opens the RNG-stream region of a loop of kind `kind`. A `Par` loop
+    /// outside any parallel region is one kernel launch: the launch
+    /// ordinal is bumped (even for an empty launch), the master RNG is
+    /// saved, and the launch key is returned for [`Engine::par_iter`].
+    /// Any other loop — `Seq`, `AtmPar`, or a `Par` nested in a region —
+    /// runs on the current stream and gets `None`.
+    ///
+    /// Every executor (tree, tape, blk tapes, native callbacks) brackets
+    /// its loops with `par_enter` / `par_iter` / `par_exit`, so all of
+    /// them draw exactly the same per-thread streams.
+    #[inline]
+    pub(crate) fn par_enter(&mut self, kind: LoopKind) -> Option<u64> {
+        if kind != LoopKind::Par || self.par_master.is_some() {
+            return None;
+        }
+        self.launch_counter += 1;
+        self.par_master = Some(self.rng.clone());
+        Some(self.launch_counter)
+    }
+
+    /// Switches to thread `t`'s stream of `launch` (no-op for `None`).
+    #[inline]
+    pub(crate) fn par_iter(&mut self, launch: Option<u64>, t: i64) {
+        if let Some(launch) = launch {
+            self.rng = self.thread_rng(launch, t);
+        }
+    }
+
+    /// Closes a loop's stream region: when `par_enter` opened one
+    /// (`opened`, i.e. it returned a launch key), restores the master RNG.
+    #[inline]
+    pub(crate) fn par_exit(&mut self, opened: bool) {
+        if opened {
+            self.rng = self.par_master.take().expect("par_exit without par_enter");
+        }
+    }
+
+    /// Unwind cleanup: forgets a parallel region a panic left open. The
+    /// RNG stays on whatever stream it was drawing from.
+    pub(crate) fn par_abort(&mut self) {
+        self.par_master = None;
     }
 
     /// Runs a procedure by table index, charging time per the mode.
@@ -255,23 +301,9 @@ impl Engine {
                 self.device.tape_dispatch(retired);
                 proc_.ret.as_ref().map(|e| self.eval_num(e))
             }
-            (ExecMode::Gpu, ExecBackend::Tree) => {
-                let proc_ = &table.blk_procs[idx];
-                let name = proc_.name.clone();
-                let blocks = proc_.blocks.clone();
-                for b in &blocks {
-                    self.run_blk(&name, b);
-                }
-                let ret = table.blk_procs[idx].ret.clone().map(|e| self.eval_num(&e));
-                if ret.is_some() {
-                    // scalar result synced back to the host
-                    self.device.readback();
-                }
-                ret
-            }
-            // The simulated device has no native lane; Native degrades to
-            // the tape's virtual-time accounting there.
-            (ExecMode::Gpu, ExecBackend::Tape | ExecBackend::Native) => {
+            // The simulated device runs the blk tapes under every backend:
+            // it has no native lane, and the tree-walker is CPU-only.
+            (ExecMode::Gpu, _) => {
                 let proc_ = &table.blk_tapes[idx];
                 for b in &proc_.blocks {
                     self.run_blk_tape(&proc_.name, b);
@@ -286,102 +318,7 @@ impl Engine {
         }
     }
 
-    fn run_blk(&mut self, proc_name: &str, b: &RBlk) {
-        match b {
-            RBlk::Seq(s) => {
-                let before = self.work;
-                self.exec(s);
-                let delta = (self.work - before) as f64;
-                self.device.sequential(delta);
-            }
-            RBlk::Par { kind, lo, hi, body, inner_par } => {
-                let lo = self.eval_int(lo);
-                let hi = self.eval_int(hi);
-                let threads = (hi - lo).max(0) as usize;
-                let record = *kind == LoopKind::AtmPar;
-                let before_work = self.work;
-                self.record_atomics = record;
-                self.atomics.clear();
-                if *kind == LoopKind::Par {
-                    self.launch_counter += 1;
-                    let launch = self.launch_counter;
-                    let master = self.rng.clone();
-                    self.in_parallel = true;
-                    for t in lo..hi {
-                        self.rng = self.thread_rng(launch, t);
-                        self.env.push(t);
-                        self.exec(body);
-                        self.env.pop();
-                    }
-                    self.in_parallel = false;
-                    self.rng = master;
-                } else {
-                    for t in lo..hi {
-                        self.env.push(t);
-                        self.exec(body);
-                        self.env.pop();
-                    }
-                }
-                self.record_atomics = false;
-                let total_work = self.work - before_work;
-                let width = inner_par.as_ref().map(|e| self.eval_int(e).max(1)).unwrap_or(1);
-                let drained: Vec<u64> = std::mem::take(&mut self.atomics);
-                let mut scope = self.device.begin_kernel(proc_name);
-                scope.thread_work(total_work);
-                for loc in drained {
-                    scope.atomic(loc);
-                }
-                scope.finish(threads * width as usize);
-            }
-            RBlk::Loop { lo, hi, body } => {
-                let lo = self.eval_int(lo);
-                let hi = self.eval_int(hi);
-                for i in lo..hi {
-                    self.env.push(i);
-                    for inner in body {
-                        self.run_blk(proc_name, inner);
-                    }
-                    self.env.pop();
-                }
-            }
-            RBlk::Sum { acc, lo, hi, rhs } => {
-                let lo = self.eval_int(lo);
-                let hi = self.eval_int(hi);
-                let n = (hi - lo).max(0) as usize;
-                let before_work = self.work;
-                let mut scalar_acc = 0.0;
-                let mut vec_acc: Option<PoolVec> = None;
-                for i in lo..hi {
-                    self.env.push(i);
-                    let v = self.eval(rhs);
-                    self.env.pop();
-                    match self.own_val(v) {
-                        OwnVal::Num(x) => scalar_acc += x,
-                        OwnVal::VecD(xs) => match &mut vec_acc {
-                            Some(acc_v) => {
-                                for (a, x) in acc_v.iter_mut().zip(&xs) {
-                                    *a += x;
-                                }
-                            }
-                            None => vec_acc = Some(xs),
-                        },
-                    }
-                }
-                let total_work = (self.work - before_work) as f64;
-                let per_elem = if n > 0 { total_work / n as f64 } else { 0.0 };
-                self.device.reduce(proc_name, n, per_elem);
-                // acc += reduction result
-                let add = match vec_acc {
-                    Some(v) => OwnVal::VecD(v),
-                    None => OwnVal::Num(scalar_acc),
-                };
-                self.write(acc, AssignOp::Inc, add, false);
-            }
-        }
-    }
-
-    /// Executes one statement (CPU semantics; the GPU path reuses this for
-    /// thread bodies).
+    /// Executes one statement on the tree-walker (CPU target).
     pub fn exec(&mut self, s: &RStmt) {
         match s {
             RStmt::Seq(stmts) => {
@@ -406,28 +343,14 @@ impl Engine {
             RStmt::Loop { kind, lo, hi, body } => {
                 let lo = self.eval_int(lo);
                 let hi = self.eval_int(hi);
-                let fresh_parallel = *kind == LoopKind::Par && !self.in_parallel;
-                if fresh_parallel {
-                    // one kernel launch: every thread gets its own stream
-                    self.launch_counter += 1;
-                    let launch = self.launch_counter;
-                    let master = self.rng.clone();
-                    self.in_parallel = true;
-                    for i in lo..hi {
-                        self.rng = self.thread_rng(launch, i);
-                        self.env.push(i);
-                        self.exec(body);
-                        self.env.pop();
-                    }
-                    self.in_parallel = false;
-                    self.rng = master;
-                } else {
-                    for i in lo..hi {
-                        self.env.push(i);
-                        self.exec(body);
-                        self.env.pop();
-                    }
+                let launch = self.par_enter(*kind);
+                for i in lo..hi {
+                    self.par_iter(launch, i);
+                    self.env.push(i);
+                    self.exec(body);
+                    self.env.pop();
                 }
+                self.par_exit(launch.is_some());
             }
             RStmt::Sample { lhs, dist, args } => {
                 // Fixed-arity argument spine (every primitive has arity
@@ -1011,12 +934,17 @@ mod tests {
         )
     }
 
-    fn compile_and_run(state: State, p: ProcDecl) -> (Engine, Option<f64>) {
-        let r = Compiler::new(&state).proc(&p);
+    /// A one-procedure table: `p`'s CPU form and its unoptimized blk
+    /// tapes.
+    pub(super) fn table_of(st: &State, p: &ProcDecl) -> ProcTable {
         let mut table = ProcTable::default();
-        let blk = augur_blk::to_blocks(&p);
-        let rb = Compiler::new(&state).blk_proc(&blk);
-        table.insert(r, rb, &state);
+        let blk = augur_blk::to_blocks(p);
+        table.insert(Compiler::new(st).proc(p), Compiler::new(st).blk_proc(&blk), st);
+        table
+    }
+
+    fn compile_and_run(state: State, p: ProcDecl) -> (Engine, Option<f64>) {
+        let table = table_of(&state, &p);
         let mut eng = engine(state);
         let ret = eng.run_proc(&table, 0);
         (eng, ret)
@@ -1211,11 +1139,7 @@ mod tests {
             },
             ret: Some(Expr::var("acc")),
         };
-        let r = Compiler::new(&st).proc(&p);
-        let blk = augur_blk::to_blocks(&p);
-        let rb = Compiler::new(&st).blk_proc(&blk);
-        let mut table = ProcTable::default();
-        table.insert(r, rb, &st);
+        let table = table_of(&st, &p);
         let mut eng = Engine::new(
             st,
             Prng::seed_from_u64(2),
@@ -1234,19 +1158,27 @@ mod tests {
         let mut st = State::new();
         let acc = st.insert("acc", Shape::Num);
         st.flat_mut(acc)[0] = 5.0;
-        let rb = RBlk::Sum {
-            acc: RLValue { buf: acc, indices: vec![] },
-            lo: RExpr::Const(0.0),
-            hi: RExpr::Const(10.0),
-            rhs: RExpr::Ref(RRef::Loop(0)),
+        let cpu = ProcDecl { name: "sum".into(), body: Stmt::nop(), ret: None };
+        let blk = augur_blk::BlkProc {
+            name: "sum".into(),
+            blocks: vec![augur_blk::Blk::SumBlk {
+                acc: LValue::name("acc"),
+                var: "i".into(),
+                lo: Expr::Int(0),
+                hi: Expr::Int(10),
+                rhs: Expr::var("i"),
+            }],
+            ret: None,
         };
+        let mut table = ProcTable::default();
+        table.insert(Compiler::new(&st).proc(&cpu), Compiler::new(&st).blk_proc(&blk), &st);
         let mut eng = Engine::new(
             st,
             Prng::seed_from_u64(3),
             Device::new(DeviceConfig::titan_black_like()),
             ExecMode::Gpu,
         );
-        eng.run_blk("sum", &rb);
+        eng.run_proc(&table, 0);
         assert_eq!(eng.state.flat(acc)[0], 50.0);
         assert_eq!(eng.device.counters().reductions, 1);
     }
@@ -1255,7 +1187,6 @@ mod tests {
 #[cfg(test)]
 mod thread_rng_tests {
     use super::*;
-    use crate::compile::Compiler;
     use augur_low::il::{Expr, LValue, ProcDecl, Stmt};
     use gpu_sim::DeviceConfig;
 
@@ -1287,11 +1218,7 @@ mod thread_rng_tests {
             },
             ret: None,
         };
-        let cpu = Compiler::new(&st).proc(&p);
-        let blk = augur_blk::to_blocks(&p);
-        let gpu = Compiler::new(&st).blk_proc(&blk);
-        let mut table = ProcTable::default();
-        table.insert(cpu, gpu, &st);
+        let table = super::tests::table_of(&st, &p);
         let mut eng = Engine::new(
             st,
             Prng::seed_from_u64(777),
@@ -1357,11 +1284,7 @@ mod thread_rng_tests {
                 ]),
                 ret: Some(Expr::var("after")),
             };
-            let cpu = Compiler::new(&st).proc(&p);
-            let blk = augur_blk::to_blocks(&p);
-            let gpu = Compiler::new(&st).blk_proc(&blk);
-            let mut table = ProcTable::default();
-            table.insert(cpu, gpu, &st);
+            let table = super::tests::table_of(&st, &p);
             let mut eng = Engine::new(
                 st,
                 Prng::seed_from_u64(888),

@@ -10,13 +10,14 @@
 //! * **compilation** ([`compile`]) — procedures are resolved to buffer
 //!   slots (the stand-in for Cuda/C emission; a readable C-like rendering
 //!   is available via `augur_low::il::pretty_proc`), and for the GPU
-//!   target translated to Blk IL and optimized (§5.3–5.4);
-//! * **execution** ([`eval`], [`tape`]) — a CPU interpreter and a
-//!   simulated-GPU executor that charge virtual time to a
-//!   `gpu_sim::Device`. Procedures run either as a reference
-//!   tree-walker or (the default) as a flat register-machine tape
-//!   compiled at table-insertion time; both produce bit-identical
-//!   traces for a fixed seed;
+//!   target translated to Blk IL, optimized (§5.3–5.4) and taped;
+//! * **execution** ([`eval`], [`tape`], [`native`]) — executors that
+//!   charge virtual time to a `gpu_sim::Device`. On the CPU a procedure
+//!   runs as a reference tree-walker, as a flat register-machine tape
+//!   (the default) or as emitted C; the simulated GPU has one Blk
+//!   executor, the blk tapes. All produce bit-identical traces for a
+//!   fixed seed, and share one [`eval::Engine`] for state, RNG streams
+//!   and per-operation semantics;
 //! * **the MCMC library** ([`mcmc`]) — leapfrog HMC (+ a NUTS prototype),
 //!   reflective and elliptical slice sampling, random-walk MH, and the
 //!   acceptance-ratio/state-duplication discipline of §5.5;

@@ -25,9 +25,9 @@
 //!
 //! Native procedures run on the calling thread, like every other lane.
 //! `Par` loops rotate the per-iteration RNG streams via the
-//! `par_enter`/`par_iter`/`par_exit` callbacks, which replicate the
-//! interpreter's launch bookkeeping, so native draws match the tape's
-//! exactly.
+//! `par_enter`/`par_iter`/`par_exit` callbacks, thin wrappers over the
+//! engine methods of the same names that every interpreter calls, so
+//! native draws match the tape's exactly.
 //!
 //! Panic behavior: bounds violations call the C-side `aug_trap`, a
 //! `noreturn`, cold wrapper over the `trap` callback, which raises the
@@ -46,7 +46,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use augur_dist::{SimpleTy, ValueMut, ALL_KINDS};
-use augur_low::il::AssignOp;
+use augur_low::il::{AssignOp, LoopKind};
 use augur_math::PoolVec;
 
 use crate::compile::ProcTable;
@@ -520,22 +520,17 @@ unsafe extern "C-unwind" fn rt_sample_logits(c: *mut AugCtx, w: AugV, buf: i32, 
 }
 
 unsafe extern "C-unwind" fn rt_par_enter(c: *mut AugCtx) -> u64 {
-    let eng = eng_of(c);
-    eng.launch_counter += 1;
-    eng.native_master_rng = Some(eng.rng.clone());
-    eng.in_parallel = true;
-    eng.launch_counter
+    eng_of(c)
+        .par_enter(LoopKind::Par)
+        .expect("emitted C opens parallel regions only outside one")
 }
 
 unsafe extern "C-unwind" fn rt_par_iter(c: *mut AugCtx, launch: u64, t: i64) {
-    let eng = eng_of(c);
-    eng.rng = eng.thread_rng(launch, t);
+    eng_of(c).par_iter(Some(launch), t);
 }
 
 unsafe extern "C-unwind" fn rt_par_exit(c: *mut AugCtx) {
-    let eng = eng_of(c);
-    eng.rng = eng.native_master_rng.take().expect("par_exit without par_enter");
-    eng.in_parallel = false;
+    eng_of(c).par_exit(true);
 }
 
 unsafe extern "C-unwind" fn rt_trap(c: *mut AugCtx, code: i32, a: f64, b: f64) -> ! {

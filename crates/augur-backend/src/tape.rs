@@ -6,8 +6,9 @@
 //! and a branch mispredict. This module plays the role the emitted
 //! CUDA/C code plays in the paper's native pipeline: the one-time
 //! compilation step that removes interpretive overhead from the sweep
-//! loop. Each procedure is lowered once — at [`ProcTable::insert`] time —
-//! into a [`Tape`]: a linear `Vec<TInstr>` with structured control flow
+//! loop. Each procedure is lowered once — at [`ProcTable::insert`] time,
+//! or block by block in [`Compiler::blk_proc`] for the GPU target — into
+//! a [`Tape`]: a linear `Vec<TInstr>` with structured control flow
 //! (loops, conditionals) resolved to pre-computed jump offsets.
 //!
 //! Two design decisions carry the speedup over the tree-walker:
@@ -34,32 +35,37 @@
 //! tests assert equality.
 //!
 //! [`ProcTable::insert`]: crate::compile::ProcTable::insert
+//! [`Compiler::blk_proc`]: crate::compile::Compiler::blk_proc
 //! [`State`]: crate::state::State
 
 use augur_dist::{DistKind, ValueMut, ValueRef};
 use augur_lang::ast::{BinOp, Builtin};
 use augur_low::il::{AssignOp, LoopKind, OpN};
 
-use crate::compile::{RBlk, RBlkProc, RExpr, RLValue, RProc, RRef, RStmt};
+use crate::compile::{RExpr, RLValue, RProc, RRef, RStmt};
 use crate::eval::{
     dest_index, dist_op_cost, sample_cost, slice_of, value_ref_of, Engine, OwnArg, OwnVal, View,
 };
 use crate::state::{BufId, RowElem, Shape, State};
 
-/// Which execution backend the engine uses for compiled procedures.
+/// Which execution backend the engine uses for compiled procedures on
+/// the CPU target.
 ///
 /// Every backend implements the same abstract machine and produces
 /// bit-identical traces for a fixed seed; they differ only in dispatch
-/// overhead (and in the simulated device's instruction-decode charge).
-/// Selected via [`SessionConfig::backend`] or the `AUGUR_BACKEND`
-/// environment variable (`tree` / `tape` / `native`).
+/// overhead (and in the instruction-decode charge). On `Target::Gpu`
+/// the choice does not matter: every backend runs the blk tapes, the
+/// simulated device's one Blk executor, so its virtual time always
+/// includes the tape decode charge. Selected via
+/// [`SessionConfig::backend`] or the `AUGUR_BACKEND` environment
+/// variable (`tree` / `tape` / `native`).
 ///
 /// [`SessionConfig::backend`]: crate::driver::SessionConfig::backend
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum ExecBackend {
-    /// Recursive tree-walking over the slot-resolved IL (the reference
-    /// oracle).
+    /// Recursive tree-walking over the slot-resolved IL (the CPU
+    /// reference oracle).
     Tree,
     /// Flat register-machine tape compiled at table-insertion time
     /// (the default).
@@ -599,57 +605,25 @@ impl TapeProc {
     /// Compiles a slot-resolved procedure to a tape. The state supplies
     /// buffer shapes for static kind inference and load fusion.
     pub fn compile(p: &RProc, state: &State) -> TapeProc {
+        TapeProc { name: p.name.clone(), tape: Tape::of_stmt(&p.body, state), ret: p.ret.clone() }
+    }
+}
+
+impl Tape {
+    /// Compiles a slot-resolved statement tree to a tape (procedure
+    /// bodies, `seqBlk`s and per-thread `parBlk` bodies).
+    pub(crate) fn of_stmt(s: &RStmt, state: &State) -> Tape {
         let mut em = Emitter::new(state);
-        em.stmt(&p.body);
-        TapeProc { name: p.name.clone(), tape: em.finish(None), ret: p.ret.clone() }
+        em.stmt(s);
+        em.finish(None)
     }
-}
 
-impl TBlkProc {
-    /// Compiles a slot-resolved Blk-IL procedure, taping every device
-    /// body while keeping host-side control interpreted.
-    pub fn compile(p: &RBlkProc, state: &State) -> TBlkProc {
-        TBlkProc {
-            name: p.name.clone(),
-            blocks: p.blocks.iter().map(|b| compile_blk(b, state)).collect(),
-            ret: p.ret.clone(),
-        }
-    }
-}
-
-fn compile_blk(b: &RBlk, state: &State) -> TBlk {
-    match b {
-        RBlk::Seq(s) => {
-            let mut em = Emitter::new(state);
-            em.stmt(s);
-            TBlk::Seq(em.finish(None))
-        }
-        RBlk::Par { kind, lo, hi, body, inner_par } => {
-            let mut em = Emitter::new(state);
-            em.stmt(body);
-            TBlk::Par {
-                kind: *kind,
-                lo: lo.clone(),
-                hi: hi.clone(),
-                body: em.finish(None),
-                inner_par: inner_par.clone(),
-            }
-        }
-        RBlk::Loop { lo, hi, body } => TBlk::Loop {
-            lo: lo.clone(),
-            hi: hi.clone(),
-            body: body.iter().map(|inner| compile_blk(inner, state)).collect(),
-        },
-        RBlk::Sum { acc, lo, hi, rhs } => {
-            let mut em = Emitter::new(state);
-            let (r, _) = em.expr(rhs);
-            TBlk::Sum {
-                acc: acc.clone(),
-                lo: lo.clone(),
-                hi: hi.clone(),
-                rhs: em.finish(Some(r)),
-            }
-        }
+    /// Compiles an expression to a tape whose `result` operand holds its
+    /// value (`sumBlk` element bodies).
+    pub(crate) fn of_expr(e: &RExpr, state: &State) -> Tape {
+        let mut em = Emitter::new(state);
+        let (r, _) = em.expr(e);
+        em.finish(Some(r))
     }
 }
 
@@ -1345,11 +1319,9 @@ pub(crate) struct TapeFrame {
     hi: i64,
     body_pc: u32,
     exit: u32,
-    /// True for a fresh `Par` loop: iterations run on per-thread streams
-    /// keyed by `launch` and the master RNG is restored on exit.
-    fresh: bool,
-    launch: u64,
-    master: Option<augur_dist::Prng>,
+    /// The launch key of a fresh `Par` loop (see [`Engine::par_enter`]):
+    /// iterations then run on per-thread streams.
+    launch: Option<u64>,
 }
 
 impl Tape {
@@ -1869,38 +1841,15 @@ impl Engine {
                 TInstr::LoopStart { kind, lo, hi, exit } => {
                     let lo = f[*lo as usize] as i64;
                     let hi = f[*hi as usize] as i64;
-                    let fresh = *kind == LoopKind::Par && !self.in_parallel;
-                    let mut launch = 0;
-                    let mut master = None;
-                    if fresh {
-                        // One kernel launch, counted even for empty launches,
-                        // exactly like the tree-walker.
-                        self.launch_counter += 1;
-                        launch = self.launch_counter;
-                        master = Some(self.rng.clone());
-                        self.in_parallel = true;
-                    }
+                    let launch = self.par_enter(*kind);
                     if lo >= hi {
-                        if fresh {
-                            self.in_parallel = false;
-                            self.rng = master.take().expect("fresh loop saved the master RNG");
-                        }
+                        self.par_exit(launch.is_some());
                         pc = *exit;
                         continue;
                     }
-                    if fresh {
-                        self.rng = self.thread_rng(launch, lo);
-                    }
+                    self.par_iter(launch, lo);
                     self.env.push(lo);
-                    frames.push(TapeFrame {
-                        idx: lo,
-                        hi,
-                        body_pc: pc + 1,
-                        exit: *exit,
-                        fresh,
-                        launch,
-                        master,
-                    });
+                    frames.push(TapeFrame { idx: lo, hi, body_pc: pc + 1, exit: *exit, launch });
                 }
                 TInstr::LoopEnd { w: extra } => {
                     // Charges for instructions elided from the loop body by
@@ -1912,19 +1861,13 @@ impl Engine {
                     if frame.idx < frame.hi {
                         *self.env.last_mut().expect("loop frame owns an env slot") =
                             frame.idx;
-                        if frame.fresh {
-                            let (launch, idx) = (frame.launch, frame.idx);
-                            self.rng = self.thread_rng(launch, idx);
-                        }
+                        self.par_iter(frame.launch, frame.idx);
                         pc = frame.body_pc;
                         continue;
                     }
                     let frame = frames.pop().expect("LoopEnd without a frame");
                     self.env.pop();
-                    if frame.fresh {
-                        self.in_parallel = false;
-                        self.rng = frame.master.expect("fresh loop saved the master RNG");
-                    }
+                    self.par_exit(frame.launch.is_some());
                     pc = frame.exit;
                     continue;
                 }
@@ -2103,9 +2046,9 @@ impl Engine {
         }
     }
 
-    /// Runs one tape-compiled Blk-IL block, charging the device exactly
-    /// as the tree-walking [`Engine::run_proc`] GPU path does, plus the
-    /// tape decode charge.
+    /// Runs one tape-compiled Blk-IL block — the GPU target's only
+    /// executor — charging the device for kernel launches, atomics,
+    /// reductions and host-sequential work, plus the tape decode charge.
     pub(crate) fn run_blk_tape(&mut self, proc_name: &str, b: &TBlk) {
         match b {
             TBlk::Seq(tape) => {
@@ -2119,32 +2062,18 @@ impl Engine {
                 let lo = self.eval_int(lo);
                 let hi = self.eval_int(hi);
                 let threads = (hi - lo).max(0) as usize;
-                let par = *kind == LoopKind::Par;
-                let record = *kind == LoopKind::AtmPar;
                 let before_work = self.work;
                 let mut retired = 0;
-                self.record_atomics = record;
+                self.record_atomics = *kind == LoopKind::AtmPar;
                 self.atomics.clear();
-                if par {
-                    self.launch_counter += 1;
-                    let launch = self.launch_counter;
-                    let master = self.rng.clone();
-                    self.in_parallel = true;
-                    for t in lo..hi {
-                        self.rng = self.thread_rng(launch, t);
-                        self.env.push(t);
-                        retired += self.run_tape(body);
-                        self.env.pop();
-                    }
-                    self.in_parallel = false;
-                    self.rng = master;
-                } else {
-                    for t in lo..hi {
-                        self.env.push(t);
-                        retired += self.run_tape(body);
-                        self.env.pop();
-                    }
+                let launch = self.par_enter(*kind);
+                for t in lo..hi {
+                    self.par_iter(launch, t);
+                    self.env.push(t);
+                    retired += self.run_tape(body);
+                    self.env.pop();
                 }
+                self.par_exit(launch.is_some());
                 self.record_atomics = false;
                 let total_work = self.work - before_work;
                 let width =

@@ -1,17 +1,12 @@
-//! Diagnostic: print LDA tape disassembly or time sweeps (--time).
-use augur::{ExecBackend, HostValue, Model, SessionConfig, Target};
+//! Diagnostic: print the tape disassembly of every LDA procedure.
+//! (Sweep timing lives in `sweep_throughput` and `perfbench`.)
+use augur::{HostValue, Model, SessionConfig, Target};
 use augurv2::{models, workloads};
 
 fn main() {
-    let time = std::env::args().any(|a| a == "--time");
-    let exec = if std::env::args().any(|a| a == "--tree") {
-        ExecBackend::Tree
-    } else {
-        ExecBackend::Tape
-    };
     let corpus = workloads::lda_corpus(20, 80, 2000, 200, 1200);
     let model = Model::compile(models::LDA).expect("LDA parses");
-    let mut s = model
+    let s = model
         .plan(
             vec![
                 HostValue::Int(30),
@@ -23,18 +18,9 @@ fn main() {
             vec![("w", HostValue::RaggedI(corpus.docs.clone()))],
         )
         .expect("LDA plans")
-        .session(SessionConfig { target: Target::Cpu, seed: 21, backend: exec, ..Default::default() })
+        .session(SessionConfig { target: Target::Cpu, seed: 21, ..Default::default() })
         .expect("LDA builds");
-    if !time {
-        for name in s.proc_names() {
-            println!("== {name} ==\n{}", s.disasm(name));
-        }
-        return;
+    for name in s.proc_names() {
+        println!("== {name} ==\n{}", s.disasm(name));
     }
-    s.init().unwrap();
-    let t0 = std::time::Instant::now();
-    for _ in 0..12 {
-        s.sweep();
-    }
-    println!("{exec:?}: {:.3} s for 12 sweeps", t0.elapsed().as_secs_f64());
 }

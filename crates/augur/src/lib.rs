@@ -60,7 +60,6 @@
 #![deny(missing_docs)]
 
 pub mod chains;
-pub mod codegen;
 pub mod diag;
 pub mod error;
 
@@ -76,6 +75,7 @@ pub use augur_backend::{
 pub use augur_backend::state::HostValue;
 pub use augur_backend::ExecBackend;
 pub use augur_backend::{Checkpoint, CheckpointError, FaultPlan};
+pub use augur_backend::{CodegenTarget, CodegenUnit, SymbolInfo, SymbolKind};
 pub use augur_backend::{ExecReport, KernelReport, KernelStats, RunReport};
 pub use augur_backend::{ExplainPlan, MemWatermark, Profile, Span, StepProfile};
 pub use augur_blk::OptFlags;
@@ -236,17 +236,18 @@ impl Model {
     }
 
     /// Renders the compiled inference program as the Cuda/C a native
-    /// build would compile (the paper's backend output; see [`codegen`]).
+    /// build would compile (the paper's backend output; the emitter is
+    /// `augur_backend::codegen::emit`).
     ///
     /// # Errors
     ///
     /// Returns lowering errors from memory explication.
-    pub fn emit_native(&self, target: codegen::CodegenTarget) -> Result<String, BuildError> {
+    pub fn emit_native(&self, target: CodegenTarget) -> Result<String, BuildError> {
         Ok(self.emit_unit(target)?.source)
     }
 
     /// Like [`emit_native`](Model::emit_native), but returns the full
-    /// [`codegen::CodegenUnit`] — source text plus the symbol manifest —
+    /// [`CodegenUnit`] — source text plus the symbol manifest —
     /// so consumers read kernel/launcher structure from data instead of
     /// re-parsing the text.
     ///
@@ -255,13 +256,13 @@ impl Model {
     /// Returns lowering errors from memory explication.
     pub fn emit_unit(
         &self,
-        target: codegen::CodegenTarget,
-    ) -> Result<codegen::CodegenUnit, BuildError> {
+        target: CodegenTarget,
+    ) -> Result<CodegenUnit, BuildError> {
         let mut lowered = self.inner.lowered().clone();
         // Low-- proper: functional primitives become side-effecting
         // stores into planned temporaries (§5.2) before native emission.
         augur_low::memory::make_memory_explicit(&mut lowered)?;
-        Ok(codegen::emit(&lowered, target))
+        Ok(augur_backend::codegen::emit(&lowered, target))
     }
 }
 

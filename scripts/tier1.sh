@@ -6,6 +6,9 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline 2>/dev/null || cargo build --release
 cargo test -q
+# The root `cargo test` covers only the `augurv2` package; every other
+# crate's unit and integration tests run here.
+cargo test -q --offline --workspace --exclude augurv2
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Allocation-free steady state: the counting-allocator harness must see
@@ -14,12 +17,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --test alloc_free
 
 # The deprecated `Infer`/`Sampler`/`SamplerConfig`/`ChainRunner`/
-# `ExecStrategy` shims and the root `diag` shim were removed after their
-# one-release grace window; the names must not reappear.
+# `ExecStrategy` shims, the root `diag` shim and the `augur::codegen`
+# re-export module were removed after their grace window; the names must
+# not reappear.
 ! grep -rnE "pub (struct|type) (Infer|Sampler|SamplerConfig|ChainRunner|ExecStrategy)\b" \
     crates/augur/src crates/augur-backend/src src
 ! grep -rn "ExecStrategy" crates src
 ! grep -rn "#\[deprecated" crates/augur/src crates/augur-backend/src src
+! grep -rn "pub mod codegen" crates/augur/src
 
 # Native-backend smoke: the emit-C-and-dlopen lane must stay bit-exact
 # against tree and tape (draws, report digest, profile digest), the

@@ -1,14 +1,15 @@
-//! The shape-generic Cuda/C emitter, exercised through the public
-//! `augur::codegen` API.
+//! The shape-generic Cuda/C emitter, exercised through
+//! `augur_backend::codegen::emit` and the codegen types the `augur`
+//! facade re-exports at its root.
 //!
-//! These pins moved out of the (now re-exporting) `augur::codegen`
-//! module when emission was consolidated in `augur_backend::codegen`:
+//! These pins cover what emission consolidated in `augur_backend::codegen`:
 //! the C flavor's OpenMP pragmas and sweep driver, the Cuda flavor's
 //! kernels/atomics, the HMC and ESlice library calls, up-front buffer
 //! declarations — plus the symbol manifest a [`CodegenUnit`] now carries
 //! so consumers read structure from data instead of grepping the text.
 
-use augur::codegen::{emit, CodegenTarget, CodegenUnit, SymbolKind};
+use augur::{CodegenTarget, CodegenUnit, SymbolKind};
+use augur_backend::codegen::emit;
 use augur::prelude::*;
 
 const GMM: &str = r#"(K, N, mu_0, Sigma_0, pis, Sigma) => {

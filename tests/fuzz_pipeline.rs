@@ -167,10 +167,10 @@ proptest! {
     #[test]
     fn random_models_emit_native_code(model in arb_model()) {
         let compiled = Model::compile(&model.src).unwrap();
-        let c = compiled.emit_native(augur::codegen::CodegenTarget::C)
+        let c = compiled.emit_native(augur::CodegenTarget::C)
             .unwrap_or_else(|e| panic!("emit failed on:\n{}\n{e}", model.src));
         prop_assert!(c.contains("void mcmc_sweep"));
-        let cu = compiled.emit_native(augur::codegen::CodegenTarget::Cuda).unwrap();
+        let cu = compiled.emit_native(augur::CodegenTarget::Cuda).unwrap();
         prop_assert!(cu.contains("__global__") || !cu.contains("parBlk"));
     }
 }

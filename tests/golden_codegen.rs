@@ -77,9 +77,9 @@ fn gmm_eslice_structure_is_stable() {
 
 #[test]
 fn cuda_emission_structure_is_stable() {
-    use augur::codegen::SymbolKind;
+    use augur::SymbolKind;
     let model = Model::compile(models::HGMM).unwrap();
-    let unit = model.emit_unit(augur::codegen::CodegenTarget::Cuda).unwrap();
+    let unit = model.emit_unit(augur::CodegenTarget::Cuda).unwrap();
     // one kernel per top-level parallel loop, read off the symbol
     // manifest rather than grepped out of the text; canonical prologue
     let kernels: Vec<_> = unit

@@ -58,7 +58,7 @@ fn memory_explicit_lowering_is_bit_identical() {
 #[test]
 fn emitted_c_uses_explicit_temporaries() {
     let model = Model::compile(augurv2::models::HGMM).unwrap();
-    let c = model.emit_native(augur::codegen::CodegenTarget::C).unwrap();
+    let c = model.emit_native(augur::CodegenTarget::C).unwrap();
     // the functional form `MvNormal(mat_vec(mat_inv(...)), ...)` is gone:
     // temporaries are assigned first, then consumed
     assert!(c.contains("_tmp"), "{c}");

@@ -13,7 +13,7 @@
 //! fallback reason and run on the tape, and the differential assertions
 //! are skipped with a note.
 
-use augur::codegen::{CodegenTarget, SymbolKind};
+use augur::{CodegenTarget, SymbolKind};
 use augur::prelude::*;
 use augur_backend::RunError;
 use augur_math::Matrix;
