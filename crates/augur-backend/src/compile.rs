@@ -8,7 +8,7 @@
 //! only executable form. A C-like rendering of the same program is
 //! available from `augur_low::il::pretty_proc` for inspection.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use augur_blk::{Blk, BlkProc};
 use augur_dist::DistKind;
@@ -374,70 +374,92 @@ impl ProcTable {
 /// what any one run touches, and identical across strategies and thread
 /// counts.
 pub fn proc_buf_refs(p: &RProc) -> Vec<BufId> {
-    let mut out = Vec::new();
-    refs_stmt(&p.body, &mut out);
+    let mut refs = BTreeSet::new();
+    written_bufs(&p.body, &mut refs);
+    let mut read = |e: &RExpr| {
+        if let RExpr::Ref(RRef::Buf(id)) = e {
+            refs.insert(*id);
+        }
+    };
+    visit_stmt_exprs(&p.body, &mut read);
     if let Some(ret) = &p.ret {
-        refs_expr(ret, &mut out);
+        visit_expr(ret, &mut read);
     }
-    out.sort_unstable();
-    out.dedup();
-    out
+    refs.into_iter().collect()
 }
 
-fn refs_stmt(s: &RStmt, out: &mut Vec<BufId>) {
+/// Collects the buffers a statement writes: the destination of every
+/// `Assign`, `Sample` and `SampleLogits`. Nothing else writes a buffer
+/// (runtime callbacks included), so every other buffer is read-only for
+/// the whole statement.
+pub(crate) fn written_bufs(s: &RStmt, out: &mut BTreeSet<BufId>) {
     match s {
-        RStmt::Seq(stmts) => stmts.iter().for_each(|t| refs_stmt(t, out)),
-        RStmt::Assign { lhs, rhs, .. } => {
-            refs_lvalue(lhs, out);
-            refs_expr(rhs, out);
+        RStmt::Seq(stmts) => stmts.iter().for_each(|t| written_bufs(t, out)),
+        RStmt::Assign { lhs, .. } | RStmt::Sample { lhs, .. } | RStmt::SampleLogits { lhs, .. } => {
+            out.insert(lhs.buf);
         }
-        RStmt::IfEq { a, b, then, els } => {
-            refs_expr(a, out);
-            refs_expr(b, out);
-            refs_stmt(then, out);
+        RStmt::IfEq { then, els, .. } => {
+            written_bufs(then, out);
             if let Some(e) = els {
-                refs_stmt(e, out);
+                written_bufs(e, out);
             }
         }
-        RStmt::Loop { lo, hi, body, .. } => {
-            refs_expr(lo, out);
-            refs_expr(hi, out);
-            refs_stmt(body, out);
-        }
-        RStmt::Sample { lhs, args, .. } => {
-            refs_lvalue(lhs, out);
-            args.iter().for_each(|a| refs_expr(a, out));
-        }
-        RStmt::SampleLogits { lhs, weights } => {
-            refs_lvalue(lhs, out);
-            refs_expr(weights, out);
-        }
+        RStmt::Loop { body, .. } => written_bufs(body, out),
     }
 }
 
-fn refs_lvalue(l: &RLValue, out: &mut Vec<BufId>) {
-    out.push(l.buf);
-    l.indices.iter().for_each(|e| refs_expr(e, out));
-}
-
-fn refs_expr(e: &RExpr, out: &mut Vec<BufId>) {
+/// Calls `f` on `e` and every subexpression of it.
+pub(crate) fn visit_expr(e: &RExpr, f: &mut dyn FnMut(&RExpr)) {
+    f(e);
     match e {
-        RExpr::Const(_) => {}
-        RExpr::Ref(RRef::Buf(id)) => out.push(*id),
-        RExpr::Ref(RRef::Loop(_)) => {}
+        RExpr::Const(_) | RExpr::Ref(_) => {}
         RExpr::Index(a, b) | RExpr::Binop(_, a, b) => {
-            refs_expr(a, out);
-            refs_expr(b, out);
+            visit_expr(a, f);
+            visit_expr(b, f);
         }
-        RExpr::Neg(a) | RExpr::Len(a) => refs_expr(a, out),
-        RExpr::Call(_, args) | RExpr::Op(_, args) => {
-            args.iter().for_each(|a| refs_expr(a, out));
-        }
+        RExpr::Neg(a) | RExpr::Len(a) => visit_expr(a, f),
+        RExpr::Call(_, args) | RExpr::Op(_, args) => args.iter().for_each(|a| visit_expr(a, f)),
         RExpr::DistLl { args, point, .. }
         | RExpr::DistGradParam { args, point, .. }
         | RExpr::DistGradPoint { args, point, .. } => {
-            args.iter().for_each(|a| refs_expr(a, out));
-            refs_expr(point, out);
+            args.iter().for_each(|a| visit_expr(a, f));
+            visit_expr(point, f);
+        }
+    }
+}
+
+/// Calls `f` on every expression of `s` and of its nested statements
+/// (subexpressions included).
+pub(crate) fn visit_stmt_exprs(s: &RStmt, f: &mut dyn FnMut(&RExpr)) {
+    let lv = |l: &RLValue, f: &mut dyn FnMut(&RExpr)| {
+        l.indices.iter().for_each(|i| visit_expr(i, f))
+    };
+    match s {
+        RStmt::Seq(stmts) => stmts.iter().for_each(|t| visit_stmt_exprs(t, f)),
+        RStmt::Assign { lhs, rhs, .. } => {
+            visit_expr(rhs, f);
+            lv(lhs, f);
+        }
+        RStmt::IfEq { a, b, then, els } => {
+            visit_expr(a, f);
+            visit_expr(b, f);
+            visit_stmt_exprs(then, f);
+            if let Some(e) = els {
+                visit_stmt_exprs(e, f);
+            }
+        }
+        RStmt::Loop { lo, hi, body, .. } => {
+            visit_expr(lo, f);
+            visit_expr(hi, f);
+            visit_stmt_exprs(body, f);
+        }
+        RStmt::Sample { lhs, args, .. } => {
+            args.iter().for_each(|a| visit_expr(a, f));
+            lv(lhs, f);
+        }
+        RStmt::SampleLogits { lhs, weights } => {
+            visit_expr(weights, f);
+            lv(lhs, f);
         }
     }
 }

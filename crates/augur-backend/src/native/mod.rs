@@ -27,11 +27,22 @@
 //! `Par` loops rotate the per-iteration RNG streams via the
 //! `par_enter`/`par_iter`/`par_exit` callbacks, thin wrappers over the
 //! engine methods of the same names that every interpreter calls, so
-//! native draws match the tape's exactly.
+//! native draws match the tape's exactly. `SampleLogits` draws in C
+//! (`aug_cat_logits`, a copy of `Prng::categorical_log`) and takes its
+//! one uniform variate from the `uniform` callback, which reads the
+//! engine's current stream just as the interpreters' draw does. It
+//! needs its weights as a slice of a buffer: a `SampleLogits` over
+//! engine-owned weights (a vector op's result) is tape-only, and the
+//! emitter leaves its whole procedure to the tape. Finite-sum Gibbs
+//! always draws from a weight buffer, so no lowered model has this shape.
 //!
 //! Panic behavior: bounds violations call the C-side `aug_trap`, a
 //! `noreturn`, cold wrapper over the `trap` callback, which raises the
-//! interpreter's exact panic message and never returns; the artifact is
+//! interpreter's exact panic message and never returns. Trap codes 0–9
+//! are the interpreters' index and length assertions; codes 10 and 11
+//! (`CAT_ZERO`, `CAT_SUM`) are `categorical_log`'s "all weights are
+//! zero" and "positive finite sum" assertions, raised by
+//! `aug_cat_logits` with the same messages; the artifact is
 //! compiled with `-fexceptions` so the unwind crosses the C frames back
 //! to the driver's `catch_unwind`. Work units accumulated C-side in the
 //! aborted procedure are lost, and RNG draws that the interpreter would
@@ -103,7 +114,7 @@ struct VTable {
     own_row: unsafe extern "C-unwind" fn(*mut AugCtx, AugV, i64) -> AugV,
     write: unsafe extern "C-unwind" fn(*mut AugCtx, i32, i64, i64, i32, AugV),
     sample: unsafe extern "C-unwind" fn(*mut AugCtx, i32, i32, *const AugV, i32, i32, i64, i64),
-    sample_logits: unsafe extern "C-unwind" fn(*mut AugCtx, AugV, i32, i64),
+    uniform: unsafe extern "C-unwind" fn(*mut AugCtx) -> f64,
     par_enter: unsafe extern "C-unwind" fn(*mut AugCtx) -> u64,
     par_iter: unsafe extern "C-unwind" fn(*mut AugCtx, u64, i64),
     par_exit: unsafe extern "C-unwind" fn(*mut AugCtx),
@@ -119,7 +130,7 @@ static VTABLE: VTable = VTable {
     own_row: rt_own_row,
     write: rt_write,
     sample: rt_sample,
-    sample_logits: rt_sample_logits,
+    uniform: rt_uniform,
     par_enter: rt_par_enter,
     par_iter: rt_par_iter,
     par_exit: rt_par_exit,
@@ -507,16 +518,8 @@ unsafe extern "C-unwind" fn rt_sample(
     }
 }
 
-unsafe extern "C-unwind" fn rt_sample_logits(c: *mut AugCtx, w: AugV, buf: i32, cell: i64) {
-    let eng = eng_of(c);
-    let wview = view_of(eng, w);
-    let idx = {
-        let Engine { state, rng, work, .. } = eng;
-        let ws = slice_of(state, &wview);
-        *work += ws.len() as u64;
-        rng.categorical_log(ws)
-    };
-    eng.state.flat_mut(buf as usize)[cell as usize] = idx as f64;
+unsafe extern "C-unwind" fn rt_uniform(c: *mut AugCtx) -> f64 {
+    eng_of(c).rng.uniform()
 }
 
 unsafe extern "C-unwind" fn rt_par_enter(c: *mut AugCtx) -> u64 {
@@ -557,6 +560,12 @@ unsafe extern "C-unwind" fn rt_trap(c: *mut AugCtx, code: i32, a: f64, b: f64) -
         emit::trap::STORE_LEN => {
             assert_eq!(a as u64, b as u64, "store length mismatch");
             unreachable!("trap raised without a length mismatch")
+        }
+        // `Prng::categorical_log`'s two assertions, raised by the
+        // emitted `aug_cat_logits`.
+        emit::trap::CAT_ZERO => panic!("categorical_log: all weights are zero"),
+        emit::trap::CAT_SUM => {
+            panic!("categorical weights must be non-empty with positive finite sum")
         }
         other => panic!("native trap with unknown code {other}"),
     }

@@ -38,11 +38,13 @@
 //! [`Compiler::blk_proc`]: crate::compile::Compiler::blk_proc
 //! [`State`]: crate::state::State
 
+use std::collections::BTreeSet;
+
 use augur_dist::{DistKind, ValueMut, ValueRef};
 use augur_lang::ast::{BinOp, Builtin};
 use augur_low::il::{AssignOp, LoopKind, OpN};
 
-use crate::compile::{RExpr, RLValue, RProc, RRef, RStmt};
+use crate::compile::{written_bufs, RExpr, RLValue, RProc, RRef, RStmt};
 use crate::eval::{
     dest_index, dist_op_cost, sample_cost, slice_of, value_ref_of, Engine, OwnArg, OwnVal, View,
 };
@@ -624,26 +626,6 @@ impl Tape {
         let mut em = Emitter::new(state);
         let (r, _) = em.expr(e);
         em.finish(Some(r))
-    }
-}
-
-/// Every buffer a statement tree stores to, in emission order (with
-/// duplicates). The loop emitter pre-invalidates these so an entry
-/// defined before the loop can't serve iteration `n+1` a value that
-/// iteration `n` overwrote.
-fn written_bufs(s: &RStmt, out: &mut Vec<BufId>) {
-    match s {
-        RStmt::Seq(ss) => ss.iter().for_each(|s| written_bufs(s, out)),
-        RStmt::Assign { lhs, .. }
-        | RStmt::Sample { lhs, .. }
-        | RStmt::SampleLogits { lhs, .. } => out.push(lhs.buf),
-        RStmt::IfEq { then, els, .. } => {
-            written_bufs(then, out);
-            if let Some(e) = els {
-                written_bufs(e, out);
-            }
-        }
-        RStmt::Loop { body, .. } => written_bufs(body, out),
     }
 }
 
@@ -1264,7 +1246,7 @@ impl<'s> Emitter<'s> {
                 // Iteration n's stores must not leak stale loads into
                 // iteration n+1 through entries defined before the loop:
                 // pre-invalidate every buffer the body writes.
-                let mut written = Vec::new();
+                let mut written = BTreeSet::new();
                 written_bufs(body, &mut written);
                 for b in written {
                     self.invalidate_buf(b);

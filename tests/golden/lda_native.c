@@ -1,4 +1,4 @@
-/* Generated by augur-backend native codegen v2. Do not edit. */
+/* Generated by augur-backend native codegen v3. Do not edit. */
 #include <stdint.h>
 #include <stddef.h>
 #include <math.h>
@@ -14,7 +14,7 @@ typedef struct {
   augv     (*own_row)(augctx*, augv, int64_t);
   void     (*write)(augctx*, int32_t, int64_t, int64_t, int32_t, augv);
   void     (*sample)(augctx*, int32_t, int32_t, const augv*, int32_t, int32_t, int64_t, int64_t);
-  void     (*sample_logits)(augctx*, augv, int32_t, int64_t);
+  double   (*uniform)(augctx*);
   uint64_t (*par_enter)(augctx*);
   void     (*par_iter)(augctx*, uint64_t, int64_t);
   void     (*par_exit)(augctx*);
@@ -81,21 +81,69 @@ static inline double aug_exp_ll(double x, double rate) {
   if (x < 0.0 || rate <= 0.0) return -INFINITY;
   return log(rate) - rate * x;
 }
-static inline double aug_cat_ll(double k, const double* p, int64_t len) {
-  if (k < 0.0) return -INFINITY;
-  uint64_t ku = (uint64_t)aug_idx(k);
-  if (ku < (uint64_t)len && p[ku] > 0.0) return log(p[ku]);
+/* The cell a Categorical point `k` selects: `k as usize` for k >= 0,
+   else UINT64_MAX, which is past every length. A loop counter i selects
+   (uint64_t)i, the same cell. */
+static inline uint64_t aug_cat_k(double k) {
+  return k < 0.0 ? UINT64_MAX : (uint64_t)aug_idx(k);
+}
+static inline double aug_cat_ll(uint64_t k, const double* p, int64_t len) {
+  if (k < (uint64_t)len && p[k] > 0.0) return log(p[k]);
   return -INFINITY;
 }
 /* aug_cat_ll over a log table: lt[i] is aug_cat_ll(i, p, len). */
-static inline double aug_cat_ll_tab(double k, const double* lt, int64_t len) {
-  if (k < 0.0) return -INFINITY;
-  uint64_t ku = (uint64_t)aug_idx(k);
-  if (ku < (uint64_t)len) return lt[ku];
-  return -INFINITY;
+static inline double aug_cat_ll_tab(uint64_t k, const double* lt, int64_t len) {
+  return k < (uint64_t)len ? lt[k] : -INFINITY;
 }
 static void aug_log_table(double* restrict lt, const double* restrict p, int64_t n) {
   for (int64_t i = 0; i < n; i++) lt[i] = p[i] > 0.0 ? log(p[i]) : -INFINITY;
+}
+/* The same table for `rows` equal rows of `cols` cells, stored column by
+   column: lt[j * rows + r] is aug_cat_ll(j, p + r * cols, cols). */
+static void aug_log_table_t(double* restrict lt, const double* restrict p, int64_t rows, int64_t cols) {
+  for (int64_t r = 0; r < rows; r++)
+    for (int64_t j = 0; j < cols; j++)
+      lt[j * rows + r] = p[r * cols + j] > 0.0 ? log(p[r * cols + j]) : -INFINITY;
+}
+static inline double aug_cat_ll_tabc(uint64_t k, const double* lt, int64_t cols, int64_t r, int64_t rows) {
+  return k < (uint64_t)cols ? lt[(int64_t)k * rows + r] : -INFINITY;
+}
+
+/* fmax(a, b) without the libm call: NaN-ignoring, like fmax and Rust's
+   f64::max. Between -0.0 and 0.0 either may win, as with those; the
+   maximum below only enters as `l - m` under `exp`, where it makes no
+   difference. */
+static inline double aug_fmax(double a, double b) {
+  return (b > a || a != a) ? b : a;
+}
+
+/* augur_math::Prng::categorical_log — operation-for-operation. */
+static int64_t aug_cat_logits(augctx* c, const double* l, int64_t n) {
+  double m = -INFINITY;
+  for (int64_t i = 0; i < n; i++) m = aug_fmax(m, l[i]);
+  if (!(m > -INFINITY)) aug_trap(c, 10, 0.0, 0.0);
+  if (n <= 64) {
+    double e[64];
+    for (int64_t i = 0; i < n; i++) e[i] = exp(l[i] - m);
+    double total = 0.0;
+    for (int64_t i = 0; i < n; i++) total += e[i];
+    if (!(total > 0.0 && isfinite(total))) aug_trap(c, 11, 0.0, 0.0);
+    double t = c->vt->uniform(c) * total;
+    for (int64_t i = 0; i < n; i++) {
+      t -= e[i];
+      if (t < 0.0) return i;
+    }
+    return n - 1;
+  }
+  double total = 0.0;
+  for (int64_t i = 0; i < n; i++) total += exp(l[i] - m);
+  if (!(total > 0.0 && isfinite(total))) aug_trap(c, 11, 0.0, 0.0);
+  double t = c->vt->uniform(c) * total;
+  for (int64_t i = 0; i < n; i++) {
+    t -= exp(l[i] - m);
+    if (t < 0.0) return i;
+  }
+  return n - 1;
 }
 
 static const int64_t off5[11] = {0, 25, 47, 66, 91, 115, 138, 155, 172, 196, 213};
@@ -277,12 +325,12 @@ static void aug_p2(augctx* c) {
   double* restrict b5 = B[5];
   double* restrict b6 = B[6];
   double* restrict b7 = B[7];
-  double* b8 = B[8];
-  double* b11 = B[11];
+  double* restrict b8 = B[8];
+  double* restrict b11 = B[11];
   double* restrict lt6 = c->S + 0;
   aug_log_table(lt6, b6, 30);
   double* restrict lt7 = c->S + 30;
-  aug_log_table(lt7, b7, 180);
+  aug_log_table_t(lt7, b7, 3, 60);
   int64_t k0 = aug_i64(0e0);
   int64_t k1 = aug_i64(b1[0]);
   W += 2;
@@ -305,57 +353,84 @@ static void aug_p2(augctx* c) {
         if (!((uint64_t)(k9 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k9, 0.0);
         int64_t k10 = aug_i64((double)((off6[k9 + 1] - off6[k9])));
         W += 6;
-        for (int64_t i2 = k7; i2 < k10; i2++) {
-          double t11 = (double)i2;
-          if (!(t11 >= 0.0)) aug_trap(c, 6, t11, 0.0);
-          int64_t k12 = aug_idx(t11);
-          if (!((uint64_t)k12 < (uint64_t)(3))) aug_trap(c, 7, (double)(uint64_t)k12, (double)(3));
-          double t13 = 0e0;
-          b11[((0) + k12)] = t13;
-          W += 3;
-          double t14 = (double)i0;
-          if (!(t14 >= 0.0)) aug_trap(c, 0, t14, 0.0);
-          int64_t k15 = aug_idx(t14);
-          if (!((uint64_t)(k15 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k15, 0.0);
-          double t16 = aug_cat_ll_tab((double)i2, (lt6 + (off6[k15])), (off6[k15 + 1] - off6[k15]));
-          double t17 = (double)i2;
-          if (!(t17 >= 0.0)) aug_trap(c, 6, t17, 0.0);
-          int64_t k18 = aug_idx(t17);
-          if (!((uint64_t)k18 < (uint64_t)(3))) aug_trap(c, 7, (double)(uint64_t)k18, (double)(3));
-          double t19 = t16;
-          b11[((0) + k18)] += t19;
-          W += 12;
-          double t20 = (double)i2;
-          if (!(t20 >= 0.0)) aug_trap(c, 0, t20, 0.0);
-          int64_t k21 = aug_idx(t20);
-          if (!((uint64_t)(k21 + 1) < (uint64_t)4)) aug_trap(c, 5, (double)(uint64_t)k21, 0.0);
-          double t22 = (double)i1;
-          if (!(t22 >= 0.0)) aug_trap(c, 0, t22, 0.0);
-          int64_t k23 = aug_idx(t22);
-          double t24 = (double)i0;
-          if (!(t24 >= 0.0)) aug_trap(c, 0, t24, 0.0);
-          int64_t k25 = aug_idx(t24);
-          if (!((uint64_t)(k25 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k25, 0.0);
-          if (!((uint64_t)k23 < (uint64_t)((off5[k25 + 1] - off5[k25])))) aug_trap(c, 1, (double)(uint64_t)k23, (double)((off5[k25 + 1] - off5[k25])));
-          double t26 = aug_cat_ll_tab(b5[(off5[k25]) + k23], (lt7 + (off7[k21])), (off7[k21 + 1] - off7[k21]));
-          double t27 = (double)i2;
-          if (!(t27 >= 0.0)) aug_trap(c, 6, t27, 0.0);
-          int64_t k28 = aug_idx(t27);
-          if (!((uint64_t)k28 < (uint64_t)(3))) aug_trap(c, 7, (double)(uint64_t)k28, (double)(3));
-          double t29 = t26;
-          b11[((0) + k28)] += t29;
-          W += 18;
+        if (k7 >= 0 && k10 <= 3 && i0 >= 0 && (uint64_t)i0 < (uint64_t)10 && i1 >= 0 && (uint64_t)i1 < (uint64_t)(off5[i0 + 1] - off5[i0])) {
+          for (int64_t i2 = k7; i2 < k10; i2++) {
+            int64_t k30 = i2;
+            double t31 = 0e0;
+            double r32 = t31;
+            W += 3;
+            int64_t k33 = i0;
+            double t34 = aug_cat_ll_tab((uint64_t)i2, (lt6 + (off6[k33])), (off6[k33 + 1] - off6[k33]));
+            int64_t k35 = i2;
+            double t36 = t34;
+            r32 += t36;
+            W += 12;
+            int64_t k37 = i2;
+            int64_t k38 = i1;
+            int64_t k39 = i0;
+            double t40 = aug_cat_ll_tabc(aug_cat_k(b5[(off5[k39]) + k38]), lt7, 60, k37, 3);
+            int64_t k41 = i2;
+            double t42 = t40;
+            r32 += t42;
+            W += 18;
+            b11[((0) + k41)] = r32;
+          }
+        } else {
+          for (int64_t i2 = k7; i2 < k10; i2++) {
+            double t11 = (double)i2;
+            if (!(t11 >= 0.0)) aug_trap(c, 6, t11, 0.0);
+            int64_t k12 = aug_idx(t11);
+            if (!((uint64_t)k12 < (uint64_t)(3))) aug_trap(c, 7, (double)(uint64_t)k12, (double)(3));
+            double t13 = 0e0;
+            b11[((0) + k12)] = t13;
+            W += 3;
+            double t14 = (double)i0;
+            if (!(t14 >= 0.0)) aug_trap(c, 0, t14, 0.0);
+            int64_t k15 = aug_idx(t14);
+            if (!((uint64_t)(k15 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k15, 0.0);
+            double t16 = aug_cat_ll_tab((uint64_t)i2, (lt6 + (off6[k15])), (off6[k15 + 1] - off6[k15]));
+            double t17 = (double)i2;
+            if (!(t17 >= 0.0)) aug_trap(c, 6, t17, 0.0);
+            int64_t k18 = aug_idx(t17);
+            if (!((uint64_t)k18 < (uint64_t)(3))) aug_trap(c, 7, (double)(uint64_t)k18, (double)(3));
+            double t19 = t16;
+            b11[((0) + k18)] += t19;
+            W += 12;
+            double t20 = (double)i2;
+            if (!(t20 >= 0.0)) aug_trap(c, 0, t20, 0.0);
+            int64_t k21 = aug_idx(t20);
+            if (!((uint64_t)(k21 + 1) < (uint64_t)4)) aug_trap(c, 5, (double)(uint64_t)k21, 0.0);
+            double t22 = (double)i1;
+            if (!(t22 >= 0.0)) aug_trap(c, 0, t22, 0.0);
+            int64_t k23 = aug_idx(t22);
+            double t24 = (double)i0;
+            if (!(t24 >= 0.0)) aug_trap(c, 0, t24, 0.0);
+            int64_t k25 = aug_idx(t24);
+            if (!((uint64_t)(k25 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k25, 0.0);
+            if (!((uint64_t)k23 < (uint64_t)((off5[k25 + 1] - off5[k25])))) aug_trap(c, 1, (double)(uint64_t)k23, (double)((off5[k25 + 1] - off5[k25])));
+            double t26 = aug_cat_ll_tabc(aug_cat_k(b5[(off5[k25]) + k23]), lt7, 60, k21, 3);
+            double t27 = (double)i2;
+            if (!(t27 >= 0.0)) aug_trap(c, 6, t27, 0.0);
+            int64_t k28 = aug_idx(t27);
+            if (!((uint64_t)k28 < (uint64_t)(3))) aug_trap(c, 7, (double)(uint64_t)k28, (double)(3));
+            double t29 = t26;
+            b11[((0) + k28)] += t29;
+            W += 18;
+          }
         }
-        double t30 = (double)i0;
-        if (!(t30 >= 0.0)) aug_trap(c, 6, t30, 0.0);
-        int64_t k31 = aug_idx(t30);
-        if (!((uint64_t)(k31 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k31, 0.0);
-        double t32 = (double)i1;
-        if (!(t32 >= 0.0)) aug_trap(c, 6, t32, 0.0);
-        int64_t k33 = aug_idx(t32);
-        if (!((uint64_t)k33 < (uint64_t)((off8[k31 + 1] - off8[k31])))) aug_trap(c, 7, (double)(uint64_t)k33, (double)((off8[k31 + 1] - off8[k31])));
+        int64_t k43 = 3;
+        W += (uint64_t)k43;
+        int64_t k44 = aug_cat_logits(c, (b11 + (0)), k43);
+        double t45 = (double)i0;
+        if (!(t45 >= 0.0)) aug_trap(c, 6, t45, 0.0);
+        int64_t k46 = aug_idx(t45);
+        if (!((uint64_t)(k46 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k46, 0.0);
+        double t47 = (double)i1;
+        if (!(t47 >= 0.0)) aug_trap(c, 6, t47, 0.0);
+        int64_t k48 = aug_idx(t47);
+        if (!((uint64_t)k48 < (uint64_t)((off8[k46 + 1] - off8[k46])))) aug_trap(c, 7, (double)(uint64_t)k48, (double)((off8[k46 + 1] - off8[k46])));
         W += 7;
-        vt->sample_logits(c, av_slice(11, 0, 3), 8, ((off8[k31]) + k33));
+        b8[((off8[k46]) + k48)] = (double)k44;
       }
     }
     vt->par_exit(c);
@@ -533,7 +608,7 @@ static void aug_p4(augctx* c) {
       int64_t k26 = aug_idx(t25);
       if (!((uint64_t)(k26 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k26, 0.0);
       if (!((uint64_t)k24 < (uint64_t)((off8[k26 + 1] - off8[k26])))) aug_trap(c, 1, (double)(uint64_t)k24, (double)((off8[k26 + 1] - off8[k26])));
-      double t27 = aug_cat_ll_tab(b8[(off8[k26]) + k24], (lt6 + (off6[k22])), (off6[k22 + 1] - off6[k22]));
+      double t27 = aug_cat_ll_tab(aug_cat_k(b8[(off8[k26]) + k24]), (lt6 + (off6[k22])), (off6[k22 + 1] - off6[k22]));
       double t28 = t27;
       b12[0] += t28;
       W += 17;
@@ -571,7 +646,7 @@ static void aug_p4(augctx* c) {
       int64_t k44 = aug_idx(t43);
       if (!((uint64_t)(k44 + 1) < (uint64_t)11)) aug_trap(c, 5, (double)(uint64_t)k44, 0.0);
       if (!((uint64_t)k42 < (uint64_t)((off5[k44 + 1] - off5[k44])))) aug_trap(c, 1, (double)(uint64_t)k42, (double)((off5[k44 + 1] - off5[k44])));
-      double t45 = aug_cat_ll_tab(b5[(off5[k44]) + k42], (lt7 + (off7[k40])), (off7[k40 + 1] - off7[k40]));
+      double t45 = aug_cat_ll_tab(aug_cat_k(b5[(off5[k44]) + k42]), (lt7 + (off7[k40])), (off7[k40 + 1] - off7[k40]));
       double t46 = t45;
       b12[0] += t46;
       W += 23;
@@ -589,4 +664,4 @@ augproc aug_procs[5] = {
   aug_p3, /* init_params */
   aug_p4, /* model_ll */
 };
-const uint32_t aug_abi_version = 2;
+const uint32_t aug_abi_version = 3;

@@ -94,8 +94,8 @@ fn run(
     (traces, s.report().digest(), s.profile().digest())
 }
 
-/// Native vs tree trajectories, and native vs tape report/profile
-/// digests.
+/// Native vs tree and tape trajectories, and native vs tape
+/// report/profile digests.
 #[allow(clippy::too_many_arguments)]
 fn assert_native_matches(
     label: &str,
@@ -120,7 +120,7 @@ fn assert_native_matches(
         sweeps,
         ExecBackend::Tree,
     );
-    let (_, tape_report, tape_profile) = run(
+    let (tape, tape_report, tape_profile) = run(
         label,
         model,
         sched,
@@ -136,6 +136,7 @@ fn assert_native_matches(
     for (s, (a, b)) in tree.iter().zip(&native).enumerate() {
         assert_eq!(a, b, "{label}: native diverged from tree at sweep {s}");
     }
+    assert_eq!(tape, native, "{label}: native diverged from tape");
     assert_eq!(report, tape_report, "{label}: report digest");
     assert_eq!(profile, tape_profile, "{label}: profile digest");
 }
@@ -189,6 +190,25 @@ fn lda_native_matches_tree_and_tape() {
         vec![("w", HostValue::RaggedI(corpus.docs.clone()))],
         &["theta", "phi", "z"],
         15,
+    );
+}
+
+/// The z-update at 20 topics: the candidate loop runs its unchecked
+/// version (with register accumulation over a column-major phi table)
+/// and the draw runs in C on a 20-weight stack buffer — the shape of the
+/// Fig. 12 benchmark, small enough to diff against the tree.
+#[test]
+fn lda_twenty_topics_native_matches_tree_and_tape() {
+    let topics = 20;
+    let corpus = workloads::lda_corpus(topics, 20, 200, 30, 13);
+    assert_native_matches(
+        "lda20/gibbs",
+        models::LDA,
+        None,
+        lda_args(topics, &corpus),
+        vec![("w", HostValue::RaggedI(corpus.docs.clone()))],
+        &["theta", "phi", "z"],
+        6,
     );
 }
 
@@ -302,11 +322,13 @@ fn proc_source<'a>(unit: &'a str, name: &str) -> &'a str {
 
 /// Log tables replace per-trip `log` calls only where they are exact
 /// and pay off (pure emission — no toolchain needed): the LDA z-update
-/// reads both theta and phi through tables, while a Categorical density
-/// outside any loop reads the live buffer. (The write guard — a
-/// procedure that stores or samples into the weights keeps
-/// `aug_cat_ll` — is pinned on hand-built procedures in the emitter's
-/// unit tests; no benchmark model has such a procedure.)
+/// reads both theta and phi through tables — theta row-major (its topic
+/// loop walks one document's row), phi column-major (the loop walks one
+/// word's column across topics) — in both versions of the topic loop,
+/// while a Categorical density outside any loop reads the live buffer.
+/// (The write guard — a procedure that stores or samples into the
+/// weights keeps `aug_cat_ll` — is pinned on hand-built procedures in
+/// the emitter's unit tests; no benchmark model has such a procedure.)
 #[test]
 fn log_tables_cover_read_only_weights_in_loops() {
     let topics = 3;
@@ -319,8 +341,10 @@ fn log_tables_cover_read_only_weights_in_loops() {
         .unwrap()
         .source;
     let z = proc_source(&lda, "u2_gibbs");
-    assert_eq!(z.matches("aug_log_table(").count(), 2, "theta and phi tables:\n{z}");
+    assert_eq!(z.matches("aug_log_table(").count(), 1, "theta table:\n{z}");
+    assert_eq!(z.matches("aug_log_table_t(").count(), 1, "phi table:\n{z}");
     assert_eq!(z.matches("aug_cat_ll_tab(").count(), 2, "{z}");
+    assert_eq!(z.matches("aug_cat_ll_tabc(").count(), 2, "{z}");
     assert!(!z.contains("aug_cat_ll("), "no live-buffer lookup left:\n{z}");
 
     let single = Model::compile(
@@ -374,5 +398,48 @@ fn native_bounds_trap_matches_the_tape_error() {
     let (native, backend, fallback) = first_error(ExecBackend::Native);
     assert_eq!(backend, ExecBackend::Native, "native session fell back: {fallback:?}");
     assert_eq!(fallback, None);
+    assert_eq!(native, tape);
+}
+
+/// The draw's own assertion traps in C with the tape's message. A token
+/// id past the vocabulary gives every topic a `-inf` phi term, so every
+/// logit of that token is `-inf`; with the z-update scheduled first, the
+/// sweep fails in `categorical_log`'s "all weights are zero" assertion
+/// on both backends, and the native session does not fall back.
+#[test]
+fn native_draw_trap_matches_the_tape_error() {
+    let topics = 3;
+    let mut corpus = workloads::lda_corpus(topics, 6, 40, 10, 5);
+    corpus.docs[2][1] = corpus.vocab as i64 + 4;
+    let plan = Model::with_schedule(
+        models::LDA,
+        "Gibbs z (*) Gibbs theta (*) Gibbs phi",
+    )
+    .unwrap()
+    .plan(lda_args(topics, &corpus), vec![("w", HostValue::RaggedI(corpus.docs.clone()))])
+    .unwrap();
+    let first_error = |backend: ExecBackend| {
+        let mut s = plan.session(config(backend)).unwrap();
+        s.init().unwrap();
+        let err = s.try_sweep().expect_err("the out-of-vocabulary token must trap");
+        (err, s.backend(), s.backend_fallback().map(str::to_owned))
+    };
+    let (tape, _, _) = first_error(ExecBackend::Tape);
+    assert_eq!(
+        tape,
+        RunError::WorkerPanic {
+            kernel: "Gibbs Single(z)".into(),
+            detail: "categorical_log: all weights are zero".into(),
+        }
+    );
+    if !native_available() {
+        eprintln!("draw trap parity: no C toolchain, skipping the native side");
+        return;
+    }
+    let (native, backend, fallback) = first_error(ExecBackend::Native);
+    assert_eq!(backend, ExecBackend::Native, "native session fell back: {fallback:?}");
+    assert_eq!(fallback, None);
+    let module = plan.native_module().expect("native module built");
+    assert!(module.skipped().is_empty(), "every update runs in C: {:?}", module.skipped());
     assert_eq!(native, tape);
 }
